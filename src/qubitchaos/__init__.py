@@ -15,7 +15,7 @@ from .basis import (ParitySector, SectorHamiltonian, build_hamiltonian,
                     diagonal_energy, enumerate_sector)
 from .eigensolve import EigenDecomposition, ResidualReport, diagonalize, validate
 from .spectral import (S0, SpacingSample, eta, normalized_spacings, poisson_pdf,
-                       reference_cdf, select_window, spacing_histogram, wigner_pdf)
+                       reference_cdf, spacing_histogram, wigner_pdf)
 from .eigenstates import (eigenstate_profile, entropies, entropy_sq, mean_entropy,
                           weights)
 from .experiments import (DEFAULT_J_GRID, CriticalResult, EnsembleResult,

@@ -20,8 +20,7 @@ from .errors import (CapacityError, DegenerateWindowError, DiagonalizationError,
                      InsufficientStatisticsError, NotBracketedError)
 from .model import (ModelParams, build_bonds, compact_shape, derive_seed,
                     sample_disorder, theoretical_jc)
-from .spectral import (SpacingSample, eta, normalized_spacings,
-                       select_central_levels, select_window)
+from .spectral import SpacingSample, eta, normalized_spacings, select_central_levels
 
 # Log-spaced through the chaos transition at n = 12; brackets both eta = 0.3
 # and mean S_q = 1 there.
@@ -78,32 +77,28 @@ class MeltingMap:
     seed: int
 
 
-def _one_realization(params: ModelParams, sector, bonds, seed: int,
-                     window_kind: str = "levels"):
-    """Pipeline for one disorder realization; None when window stats are short."""
-    realization = sample_disorder(params, seed, bonds)
-    h = build_hamiltonian(sector, realization, bonds)
-    decomp = diagonalize(h)
+def _one_realization(params: ModelParams, sector, bonds, seed: int):
+    """Pipeline for one disorder realization; None when window stats are short.
+
+    The central window is fixed by the sector dimension, so only its
+    eigenpairs are computed.
+    """
     try:
-        if window_kind == "levels":
-            window = select_central_levels(decomp.eigenvalues, params.window_fraction)
-        elif window_kind == "energy":
-            window = select_window(decomp.eigenvalues, params.window_fraction)
-        else:
-            raise ValueError(f"unknown window kind {window_kind!r}")
-        spacings = normalized_spacings(decomp.eigenvalues[window])
+        window = select_central_levels(sector.dim, params.window_fraction)
+        h = build_hamiltonian(sector, sample_disorder(params, seed, bonds), bonds)
+        decomp = diagonalize(h, window)
+        spacings = normalized_spacings(decomp.eigenvalues)
     except (InsufficientStatisticsError, DegenerateWindowError):
         return None
-    sq, _ = mean_entropy(decomp, window)
+    sq, _ = mean_entropy(decomp, slice(None))
     return spacings, eta(spacings), sq
 
 
 def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int,
-                 n_workers: int = 1, window_kind: str = "levels") -> EnsembleResult:
+                 n_workers: int = 1) -> EnsembleResult:
     """Diagonalize n_d disorder realizations at coupling bound j and pool stats.
 
-    The central window holds the middle 2*window_fraction of the levels by
-    default ("levels"); window_kind="energy" selects by energy band instead.
+    The central window holds the middle 2*window_fraction of the levels.
     Realizations whose window holds too few levels are skipped and counted;
     capacity or solver errors are re-raised with the offending (realization
     index, seed) attached.
@@ -117,7 +112,7 @@ def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int,
 
     def task(k: int):
         try:
-            return _one_realization(run_params, sector, bonds, seeds[k], window_kind)
+            return _one_realization(run_params, sector, bonds, seeds[k])
         except (CapacityError, DiagonalizationError) as exc:
             raise type(exc)(f"realization {k} (seed {seeds[k]}): {exc}") from exc
 
@@ -155,7 +150,7 @@ def _sem(values: np.ndarray) -> float:
 
 
 def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int,
-            n_workers: int = 1, window_kind: str = "levels") -> list[SweepPoint]:
+            n_workers: int = 1) -> list[SweepPoint]:
     """One ensemble per grid value; pooled eta with per-realization SEMs."""
     j_grid = list(j_grid)
     if len(j_grid) < 2:
@@ -164,8 +159,7 @@ def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int,
         raise ValueError("j_grid must be ascending")
     points = []
     for j in j_grid:
-        r = run_ensemble(params, j, n_d, master_seed, n_workers=n_workers,
-                         window_kind=window_kind)
+        r = run_ensemble(params, j, n_d, master_seed, n_workers=n_workers)
         points.append(SweepPoint(j=float(j), eta_mean=r.eta_pooled, eta_sem=r.eta_sem,
                                  sq_mean=r.sq_mean, sq_sem=r.sq_sem,
                                  n_s=r.sample.n_s, n_d=r.sample.n_d))
@@ -290,20 +284,14 @@ def grid_for_delta(n: int, delta: float, n_points: int = 9) -> np.ndarray:
 
 
 def scaling_study_n(n_values, delta: float, n_d_base: int, master_seed: int,
-                    n_workers: int = 1, precomputed: dict | None = None):
-    """Measure J_c and J_cs across qubit counts; returns per-n records.
-
-    `precomputed` may map n to an existing sweep (reused instead of re-run).
-    """
+                    n_workers: int = 1):
+    """Measure J_c and J_cs across qubit counts; returns per-n records."""
     records = []
     for n in n_values:
-        if precomputed and n in precomputed:
-            sweep = precomputed[n]
-        else:
-            lx, ly = compact_shape(n)
-            params = ModelParams(lx=lx, ly=ly, delta=delta)
-            sweep = sweep_j(params, grid_for_n(n, delta), default_n_d(n, n_d_base),
-                            master_seed, n_workers=n_workers)
+        lx, ly = compact_shape(n)
+        params = ModelParams(lx=lx, ly=ly, delta=delta)
+        sweep = sweep_j(params, grid_for_n(n, delta), default_n_d(n, n_d_base),
+                        master_seed, n_workers=n_workers)
         jc = find_critical(sweep, "eta", 0.3)
         jcs = find_critical(sweep, "sq", 1.0)
         records.append({"n": n, "j_c": jc.j_crit, "j_cs": jcs.j_crit,

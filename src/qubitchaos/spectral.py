@@ -1,6 +1,6 @@
-"""Level-spacing statistics: window selection, normalization, reference laws, eta.
+"""Level-spacing statistics: central window, normalization, reference laws, eta.
 
-Spacings are nearest-neighbour gaps in the central energy window, measured in
+Spacings are nearest-neighbour gaps in the central window of levels, measured in
 units of the window's mean gap (no polynomial unfolding; the window is narrow
 enough that the density is locally flat).  The crossover parameter eta places
 an empirical P(s) between Poisson (eta = 1) and Wigner-Dyson (eta = 0) by
@@ -60,38 +60,15 @@ def reference_cdf(which: str, s) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def select_window(eigenvalues: np.ndarray, fraction: float = 0.0625) -> slice:
-    """Indices of levels within +-fraction*(bandwidth) of the band center.
-
-    Eigenvalues must be sorted ascending.  Raises when fewer than 3 levels
-    fall in the window (that realization is skipped and counted upstream).
-    """
-    if not 0.0 < fraction <= 0.5:
-        raise ValueError(f"fraction={fraction} outside (0, 0.5]")
-    e = np.asarray(eigenvalues, dtype=float)
-    if len(e) < 4:
-        raise InsufficientStatisticsError(f"need >= 4 levels, got {len(e)}")
-    e_min, e_max = e[0], e[-1]
-    e_c = 0.5 * (e_min + e_max)
-    half = fraction * (e_max - e_min)
-    lo = int(np.searchsorted(e, e_c - half, side="left"))
-    hi = int(np.searchsorted(e, e_c + half, side="right"))
-    if hi - lo < 3:
-        raise InsufficientStatisticsError(
-            f"only {hi - lo} levels in central window (need >= 3)")
-    return slice(lo, hi)
-
-
-def select_central_levels(eigenvalues: np.ndarray, fraction: float = 0.0625) -> slice:
-    """Central 2*fraction of the LEVELS by index (at least 4), as a slice.
+def select_central_levels(dim: int, fraction: float = 0.0625) -> slice:
+    """Central 2*fraction of the dim levels by index (at least 4), as a slice.
 
     Counting states instead of energy keeps the selected density locally flat
-    and the spacing count per realization fixed, which is what the ensemble
-    pipeline uses; select_window() picks by energy instead.
+    and the spacing count per realization fixed.  The window depends only on
+    the dimension, so it is known before the solve.
     """
     if not 0.0 < fraction <= 0.5:
         raise ValueError(f"fraction={fraction} outside (0, 0.5]")
-    dim = len(eigenvalues)
     if dim < 4:
         raise InsufficientStatisticsError(f"need >= 4 levels, got {dim}")
     k = min(dim, max(4, int(round(2.0 * fraction * dim))))

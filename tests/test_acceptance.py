@@ -106,7 +106,7 @@ def test_criterion_6_reference_ensembles(capsys):
     for _ in range(200):
         a = rng.standard_normal((200, 200))
         w = np.linalg.eigvalsh((a + a.T) / np.sqrt(2))
-        pool.append(normalized_spacings(w[select_central_levels(w, 0.25)]))
+        pool.append(normalized_spacings(w[select_central_levels(len(w), 0.25)]))
     eta_goe = eta(np.concatenate(pool))
     ok = abs(eta_poisson - 1.0) <= 0.02 and abs(eta_goe) <= 0.05
     report(capsys, 6, ok,

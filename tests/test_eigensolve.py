@@ -3,8 +3,10 @@ import pytest
 
 from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.eigensolve import EigenDecomposition, diagonalize, validate
+from qubitchaos.eigenstates import entropies
 from qubitchaos.errors import DiagonalizationError
 from qubitchaos.model import ModelParams, build_bonds, sample_disorder
+from qubitchaos.spectral import select_central_levels
 
 
 def random_symmetric(dim, seed):
@@ -62,6 +64,35 @@ class TestDiagonalize:
         h = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(DiagonalizationError):
             diagonalize(h)
+        with pytest.raises(DiagonalizationError):
+            diagonalize(h, slice(0, 1))
+
+
+class TestWindowedDiagonalize:
+    def test_central_window_matches_full_solve_n9(self):
+        params = ModelParams(lx=3, ly=3, delta=1.0, j_bound=0.3)
+        bonds = build_bonds(3, 3)
+        h = build_hamiltonian(enumerate_sector(9, 0),
+                              sample_disorder(params, 21, bonds), bonds)
+        window = select_central_levels(h.dim, params.window_fraction)
+        full = diagonalize(h)
+        part = diagonalize(h, window)
+        assert part.dim == window.stop - window.start
+        assert part.eigenvectors.shape == (h.dim, part.dim)
+        assert np.allclose(part.eigenvalues, full.eigenvalues[window], rtol=0, atol=1e-12)
+        assert np.allclose(entropies(part.eigenvectors),
+                           entropies(full.eigenvectors[:, window]), rtol=0, atol=1e-10)
+        assert validate(part, h).passed
+
+    def test_full_range_window_matches_full_solve(self):
+        h = random_symmetric(30, seed=12)
+        assert np.allclose(diagonalize(h, slice(None)).eigenvalues,
+                           diagonalize(h).eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [slice(3, 3), slice(5, 2), slice(0, 6, 2)])
+    def test_empty_or_strided_window_rejected(self, window):
+        with pytest.raises(ValueError):
+            diagonalize(random_symmetric(8, seed=13), window)
 
 
 class TestValidate:
@@ -88,6 +119,19 @@ class TestValidate:
         h = build_hamiltonian(enumerate_sector(10, 0),
                               sample_disorder(params, 17, bonds), bonds)
         assert validate(diagonalize(h), h).passed
+
+    def test_windowed_decomposition(self):
+        h = random_symmetric(60, seed=14)
+        d = diagonalize(h, slice(20, 35))
+        report = validate(d, h)
+        assert report.passed
+        assert report.ortho_residual <= 1e-12
+
+    def test_windowed_zeroed_eigenvector_flagged(self):
+        h = random_symmetric(60, seed=15)
+        d = diagonalize(h, slice(20, 35))
+        d.eigenvectors[:, 3] = 0.0
+        assert not validate(d, h).passed
 
     def test_dimension_mismatch(self):
         d = diagonalize(random_symmetric(5, seed=10))

@@ -4,11 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qubitchaos.errors import NotBracketedError
+from qubitchaos.basis import build_hamiltonian, enumerate_sector
+from qubitchaos.eigensolve import diagonalize
+from qubitchaos.eigenstates import entropies
+from qubitchaos.errors import InsufficientStatisticsError, NotBracketedError
 from qubitchaos.experiments import (DEFAULT_J_GRID, SweepPoint, find_critical,
                                     fit_scaling, grid_for_delta, grid_for_n,
                                     default_n_d, melting_map, run_ensemble, sweep_j)
-from qubitchaos.model import ModelParams, build_bonds, sample_disorder
+from qubitchaos.model import ModelParams, build_bonds, derive_seed, sample_disorder
+from qubitchaos.spectral import eta, normalized_spacings
 
 
 P6 = ModelParams(lx=2, ly=3, delta=1.0)
@@ -40,12 +44,32 @@ class TestRunEnsemble:
         assert r.sq_mean == 0.0
         assert np.all(r.sq_per_realization == 0.0)
 
-    def test_window_kinds_differ(self):
+    def test_windowed_solve_matches_full_solve_oracle_n9(self):
+        # oracle: full spectrum and every eigenvector, then the central 2*fraction
+        # of the levels by slicing
         p9 = ModelParams(lx=3, ly=3, delta=1.0)
-        a = run_ensemble(p9, 0.3, 3, master_seed=3, window_kind="levels")
-        b = run_ensemble(p9, 0.3, 3, master_seed=3, window_kind="energy")
-        assert a.sample.n_s != b.sample.n_s or not np.array_equal(
-            a.sample.spacings, b.sample.spacings)
+        j, n_d, master_seed = 0.3, 4, 11
+        sector, bonds = enumerate_sector(9, 0), build_bonds(3, 3)
+        k = max(4, round(2 * p9.window_fraction * sector.dim))
+        window = slice((sector.dim - k) // 2, (sector.dim - k) // 2 + k)
+        spacings, sqs = [], []
+        for r in range(n_d):
+            disorder = sample_disorder(replace(p9, j_bound=j),
+                                       derive_seed(master_seed, r), bonds)
+            full = diagonalize(build_hamiltonian(sector, disorder, bonds))
+            spacings.append(normalized_spacings(full.eigenvalues[window]))
+            sqs.append(entropies(full.eigenvectors[:, window]).mean())
+        pooled = np.concatenate(spacings)
+
+        result = run_ensemble(p9, j, n_d, master_seed)
+        assert result.n_skipped == 0
+        assert result.sample.n_s == len(pooled) == n_d * (k - 1)
+        assert result.eta_pooled == pytest.approx(eta(pooled), abs=1e-10)
+        assert result.sq_mean == pytest.approx(np.mean(sqs), abs=1e-10)
+
+    def test_undersized_sector_skips_every_realization(self):
+        with pytest.raises(InsufficientStatisticsError, match="all 3 realizations skipped"):
+            run_ensemble(ModelParams(lx=1, ly=2, delta=1.0), 0.1, 3, master_seed=1)
 
     def test_invalid_nd(self):
         with pytest.raises(ValueError):

@@ -4,56 +4,27 @@ import pytest
 from qubitchaos.errors import DegenerateWindowError, InsufficientStatisticsError
 from qubitchaos.spectral import (S0, F_POISSON_S0, F_WIGNER_S0, SpacingSample, eta,
                                  normalized_spacings, poisson_pdf, reference_cdf,
-                                 select_central_levels, select_window,
-                                 spacing_histogram, wigner_pdf)
-
-
-class TestSelectWindow:
-    def test_full_band(self):
-        e = np.linspace(-3, 3, 20)
-        assert select_window(e, fraction=0.5) == slice(0, 20)
-
-    def test_integer_levels(self):
-        e = np.arange(101, dtype=float)
-        w = select_window(e, fraction=0.0625)
-        assert (w.start, w.stop) == (44, 57)  # levels 44..56 inclusive
-
-    def test_two_levels_error(self):
-        with pytest.raises(InsufficientStatisticsError):
-            select_window(np.array([0.0, 1.0]), fraction=0.0625)
-
-    def test_sparse_center_error(self):
-        e = np.array([0.0, 0.01, 0.02, 10.0, 19.98, 19.99, 20.0])
-        with pytest.raises(InsufficientStatisticsError):
-            select_window(e, fraction=0.0625)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        e = np.sort(rng.normal(size=300))
-        w1 = select_window(e)
-        w2 = select_window(e + 17.3)
-        sp1 = normalized_spacings(e[w1])
-        sp2 = normalized_spacings((e + 17.3)[w2])
-        assert np.allclose(sp1, sp2, atol=1e-9)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            select_window(np.arange(10.0), fraction=0.75)
+                                 select_central_levels, spacing_histogram,
+                                 wigner_pdf)
 
 
 class TestSelectCentralLevels:
     def test_dim_2048(self):
-        w = select_central_levels(np.arange(2048.0), fraction=0.0625)
+        w = select_central_levels(2048, fraction=0.0625)
         assert w.stop - w.start == 256
         assert w.start == (2048 - 256) // 2
 
     def test_minimum_four(self):
-        w = select_central_levels(np.arange(32.0), fraction=0.0625)
+        w = select_central_levels(32, fraction=0.0625)
         assert w.stop - w.start == 4
 
     def test_too_few_levels(self):
         with pytest.raises(InsufficientStatisticsError):
-            select_central_levels(np.arange(3.0))
+            select_central_levels(3)
+
+    def test_bad_fraction(self):
+        with pytest.raises(ValueError):
+            select_central_levels(10, fraction=0.75)
 
 
 class TestNormalizedSpacings:
@@ -69,6 +40,13 @@ class TestNormalizedSpacings:
         rng = np.random.default_rng(2)
         e = np.sort(rng.normal(size=500))
         assert normalized_spacings(e).mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(1)
+        e = np.sort(rng.normal(size=300))
+        w = select_central_levels(len(e))
+        assert np.allclose(normalized_spacings(e[w]),
+                           normalized_spacings((e + 17.3)[w]), atol=1e-9)
 
     def test_degeneracy_yields_zero_spacing(self):
         sp = normalized_spacings(np.array([0.0, 1.0, 1.0, 2.0]))
