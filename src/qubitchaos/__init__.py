@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .model import (Bond, DisorderRealization, ModelParams, build_bonds,
                     compact_shape, derive_seed, multiqubit_spacing,
                     multiqubit_spacing_log10, sample_disorder, theoretical_jc)
-from .basis import (ParitySector, SectorHamiltonian, build_hamiltonian,
-                    diagonal_energy, enumerate_sector)
+from .basis import ParitySector, SectorHamiltonian, build_hamiltonian, enumerate_sector
 from .eigensolve import EigenDecomposition, ResidualReport, diagonalize, validate
 from .spectral import (S0, SpacingSample, eta, normalized_spacings, poisson_pdf,
                        reference_cdf, spacing_histogram, wigner_pdf)

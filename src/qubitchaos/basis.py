@@ -68,12 +68,6 @@ def popcount(states: np.ndarray) -> np.ndarray:
     return (v * np.uint32(0x01010101)) >> np.uint32(24)
 
 
-def diagonal_energy(state: int, gammas: np.ndarray) -> float:
-    """sum_i Gamma_i * (1 - 2*b_i) for the bits b_i of `state`."""
-    bits = (int(state) >> np.arange(len(gammas))) & 1
-    return float(np.dot(gammas, 1 - 2 * bits))
-
-
 def diagonal_energies(states: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Vectorized noninteracting energies for a whole basis."""
     n = len(gammas)

@@ -6,16 +6,16 @@ per-realization skip counts, so any run can be reproduced bit-exactly from its
 manifest.  All energies in outputs are dimensionless multiples of delta0.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .basis import build_hamiltonian, enumerate_sector
 from .eigensolve import diagonalize, validate
-from .errors import ConfigError, DegenerateWindowError, InsufficientStatisticsError
+from .errors import ConfigError
 from .experiments import (DEFAULT_J_GRID, find_critical, fit_scaling, melting_map,
                           run_ensemble, scaling_study_delta, scaling_study_n,
                           sweep_j)
@@ -33,36 +33,17 @@ from .spectral import poisson_pdf, spacing_histogram, wigner_pdf
 
 OUTPUT_DIR_ENV = "QUBITCHAOS_OUTPUT_DIR"
 
-_DEFAULTS = {
-    "delta": 1.0,
-    "j": None,
-    "j_grid": list(DEFAULT_J_GRID),
-    "n_d": 100,
-    "master_seed": 0,
-    "output_dir": ".",
-    "window_fraction": 0.0625,
-    "parity": "even",
-    "n_energy_bins": 20,
-    "eta_target": 0.3,
-    "sq_target": 1.0,
-    "bin_width": 0.1,
-    "s_max": 5.0,
-    "scaling_mode": "n",
-    "n_values": [6, 9, 12],
-    "delta_values": [0.25, 0.5, 1.0],
-    "threads": 1,
-}
-_REQUIRED = ("lx", "ly")
-_ALLOWED = set(_DEFAULTS) | set(_REQUIRED)
-
 
 @dataclass
 class RunConfig:
+    """The config schema: `parse_config` takes the allowed keys, the required
+    keys (no default), the defaults and the value types from these fields."""
+
     lx: int
     ly: int
     delta: float = 1.0
     j: float | None = None
-    j_grid: list = field(default_factory=lambda: list(DEFAULT_J_GRID))
+    j_grid: list[float] = field(default_factory=lambda: list(DEFAULT_J_GRID))
     n_d: int = 100
     master_seed: int = 0
     output_dir: str = "."
@@ -74,13 +55,30 @@ class RunConfig:
     bin_width: float = 0.1
     s_max: float = 5.0
     scaling_mode: str = "n"
-    n_values: list = field(default_factory=lambda: [6, 9, 12])
-    delta_values: list = field(default_factory=lambda: [0.25, 0.5, 1.0])
+    n_values: list[int] = field(default_factory=lambda: [6, 9, 12])
+    delta_values: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
     threads: int = 1
 
     def model_params(self, j: float = 0.0) -> ModelParams:
         return ModelParams(lx=self.lx, ly=self.ly, delta=self.delta, j_bound=j,
                            window_fraction=self.window_fraction, parity=self.parity)
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a parsed JSON value fits a RunConfig field type.
+
+    Booleans are not numbers, an int is a valid float, and floats must be finite.
+    """
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(
+            _conforms(v, typing.get_args(kind)[0]) for v in value)
+    if typing.get_args(kind):  # `X | None`
+        return any(_conforms(value, k) for k in typing.get_args(kind))
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -91,20 +89,26 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed JSON config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _ALLOWED
+    schema = {f.name: f for f in fields(RunConfig)}
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED if k not in raw]
+    missing = [k for k, f in schema.items() if k not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
-    cfg = RunConfig(**merged)
+    for key, value in raw.items():
+        kind = schema[key].type
+        if not _conforms(value, kind):
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            name = name.replace("float", "finite float")
+            raise ConfigError(f"config key {key!r} must be {name}, got {value!r}")
+    cfg = RunConfig(**raw)
     try:
         cfg.model_params()  # field-level invariant checks
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
-    grid = list(cfg.j_grid)
+    grid = cfg.j_grid
     if any(j < 0 for j in grid):
         raise ConfigError("j_grid values must be non-negative")
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -116,36 +120,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
-class _Manifest:
-    """Accumulates run metadata and writes it next to the command's outputs."""
-
-    def __init__(self, cfg_dict: dict, master_seed: int):
-        self.cfg = cfg_dict
-        self.master_seed = master_seed
-        self.started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self.t0 = time.monotonic()
-        self.skipped = 0
-
-    def write(self, path: Path):
-        doc = {
-            "config": self.cfg,
-            "master_seed": self.master_seed,
-            "version": __version__,
-            "started_at": self.started_at,
-            "elapsed_s": round(time.monotonic() - self.t0, 3),
-            "skipped_realizations": self.skipped,
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    d = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _write_json(path: Path, doc):
+    """The one JSON writer: strict JSON, so a NaN or infinity is an error, not output."""
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -155,13 +132,9 @@ def _write_csv(path: Path, header: list[str], rows):
         w.writerows(rows)
 
 
-def _load_config(args) -> RunConfig:
-    if args.config is None:
-        raise ConfigError("this command requires --config FILE")
-    return parse_config(Path(args.config).read_text())
+# Command bodies: (config, parsed arguments, output dir) -> skipped realizations.
 
-
-def _cmd_estimate(args) -> int:
+def _estimate(cfg, args, out: Path) -> int:
     n, delta0, delta, c = args.n, args.delta0, args.delta, args.c
     log10_spacing = multiqubit_spacing_log10(n, delta0)
     jc, jcs = theoretical_jc(n, delta0=delta0, delta=delta, c=c)
@@ -169,22 +142,15 @@ def _cmd_estimate(args) -> int:
     print(f"multi-qubit spacing: log10(Delta_n/Delta_0) = {log10_spacing:.2f}")
     print(f"chaos border estimate J_c  = {jc:.4g} Delta_0  (C = {c})")
     print(f"mixing border estimate J_cs = {jcs:.4g} Delta_0")
-    out = Path(os.environ.get(OUTPUT_DIR_ENV, args.output_dir))
-    out.mkdir(parents=True, exist_ok=True)
-    doc = {"n": n, "delta0": delta0, "delta": delta, "c": c,
-           "log10_multiqubit_spacing": log10_spacing, "j_c": jc, "j_cs": jcs}
-    (out / "estimate.json").write_text(json.dumps(doc, indent=2) + "\n")
-    manifest = _Manifest({"n": n, "delta0": delta0, "delta": delta, "c": c}, 0)
-    manifest.write(out / "estimate_manifest.json")
+    _write_json(out / "estimate.json", {
+        "n": n, "delta0": delta0, "delta": delta, "c": c,
+        "log10_multiqubit_spacing": log10_spacing, "j_c": jc, "j_cs": jcs})
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
+def _spectrum(cfg: RunConfig, args, out: Path) -> int:
     if cfg.j is None:
         raise ConfigError("spectrum requires a 'j' value in the config")
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
     params = cfg.model_params(cfg.j)
     sector = enumerate_sector(params.n, params.parity_bit)
     bonds = build_bonds(cfg.lx, cfg.ly)
@@ -194,29 +160,24 @@ def _cmd_spectrum(args) -> int:
     report = validate(decomp, h)
     _write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
                enumerate(decomp.eigenvalues.tolist()))
-    (out / "spectrum.json").write_text(json.dumps({
+    _write_json(out / "spectrum.json", {
         "dim": h.dim, "seed": seed,
         "ortho_residual": report.ortho_residual,
         "eigen_residual": report.eigen_residual,
-        "passed": report.passed}, indent=2) + "\n")
+        "passed": report.passed})
     if args.dump_matrix:
         with open(out / "matrix.txt", "w") as fh:
             rows, cols = np.nonzero(h.matrix)
             for r, c in zip(rows.tolist(), cols.tolist()):
                 fh.write(f"{r} {c} {h.matrix[r, c]!r}\n")
-    manifest.write(out / "spectrum_manifest.json")
     return 0
 
 
-def _cmd_pss(args) -> int:
-    cfg = _load_config(args)
+def _pss(cfg: RunConfig, args, out: Path) -> int:
     if cfg.j is None:
         raise ConfigError("pss requires a 'j' value in the config")
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
     result = run_ensemble(cfg.model_params(), cfg.j, cfg.n_d, cfg.master_seed,
                           n_workers=cfg.threads)
-    manifest.skipped = result.n_skipped
     hist = spacing_histogram(result.sample, cfg.bin_width, cfg.s_max)
     centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.density,
@@ -224,107 +185,69 @@ def _cmd_pss(args) -> int:
     _write_csv(out / "pss.csv",
                ["s_bin_left", "s_bin_right", "density", "pp_density", "pw_density"],
                rows)
-    (out / "pss.json").write_text(json.dumps({
+    _write_json(out / "pss.json", {
         "j": cfg.j, "eta": result.eta_pooled, "eta_sem": result.eta_sem,
         "sq_mean": result.sq_mean, "sq_sem": result.sq_sem,
-        "n_s": result.sample.n_s, "n_d": result.sample.n_d}, indent=2) + "\n")
-    manifest.write(out / "pss_manifest.json")
-    return 0
+        "n_s": result.sample.n_s, "n_d": result.sample.n_d})
+    return result.n_skipped
 
 
-def _sweep_rows(points):
-    return [[p.j, p.eta_mean, p.eta_sem, p.sq_mean, p.sq_sem, p.n_s, p.n_d]
-            for p in points]
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
+def _sweep_to_csv(cfg: RunConfig, path: Path):
+    """Run the config's J sweep and write it as CSV; returns (points, skipped)."""
     points = sweep_j(cfg.model_params(), cfg.j_grid, cfg.n_d, cfg.master_seed,
                      n_workers=cfg.threads)
-    manifest.skipped = sum(cfg.n_d - p.n_d for p in points)
-    _write_csv(out / "sweep.csv",
-               ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem", "n_s", "n_d"],
-               _sweep_rows(points))
-    manifest.write(out / "sweep_manifest.json")
-    return 0
+    _write_csv(path, ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem", "n_s", "n_d"],
+               [[p.j, p.eta_mean, p.eta_sem, p.sq_mean, p.sq_sem, p.n_s, p.n_d]
+                for p in points])
+    return points, sum(cfg.n_d - p.n_d for p in points)
 
 
-def _critical_record(cfg: RunConfig, res) -> dict:
-    return {"target": res.target, "j_crit": res.j_crit,
-            "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1],
-            "n": cfg.lx * cfg.ly, "delta": cfg.delta, "seed": cfg.master_seed,
-            "ambiguous": res.ambiguous}
+def _sweep(cfg: RunConfig, args, out: Path) -> int:
+    return _sweep_to_csv(cfg, out / "sweep.csv")[1]
 
 
-def _cmd_critical(args) -> int:
-    cfg = _load_config(args)
+def _critical(cfg: RunConfig, args, out: Path) -> int:
     if cfg.delta == 0.0:
         raise ConfigError(
             "J_c extraction at delta=0 is blocked: quasidegenerate bands break "
             "spacing statistics (the border scales to zero with delta)")
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
-    points = sweep_j(cfg.model_params(), cfg.j_grid, cfg.n_d, cfg.master_seed,
-                     n_workers=cfg.threads)
-    manifest.skipped = sum(cfg.n_d - p.n_d for p in points)
-    records = [
-        _critical_record(cfg, find_critical(points, "eta", cfg.eta_target)),
-        _critical_record(cfg, find_critical(points, "sq", cfg.sq_target)),
-    ]
-    _write_csv(out / "critical_sweep.csv",
-               ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem", "n_s", "n_d"],
-               _sweep_rows(points))
-    (out / "critical.json").write_text(json.dumps(records, indent=2) + "\n")
-    manifest.write(out / "critical_manifest.json")
-    return 0
+    points, skipped = _sweep_to_csv(cfg, out / "critical_sweep.csv")
+    records = []
+    for kind, target in (("eta", cfg.eta_target), ("sq", cfg.sq_target)):
+        res = find_critical(points, kind, target)
+        records.append({"target": res.target, "j_crit": res.j_crit,
+                        "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1],
+                        "n": cfg.lx * cfg.ly, "delta": cfg.delta,
+                        "seed": cfg.master_seed, "ambiguous": res.ambiguous})
+    _write_json(out / "critical.json", records)
+    return skipped
 
 
-def _cmd_scaling(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
-    doc: dict = {"mode": cfg.scaling_mode}
+def _scaling(cfg: RunConfig, args, out: Path) -> int:
+    # (border, slope) pairs to fit against the first column; slope None fits it too.
     if cfg.scaling_mode == "n":
         records = scaling_study_n(cfg.n_values, cfg.delta, cfg.n_d,
                                   cfg.master_seed, n_workers=cfg.threads)
-        rows = [[r["n"], r["j_c"], r["j_cs"]] for r in records]
-        _write_csv(out / "scaling.csv", ["n", "j_c", "j_cs"], rows)
-        jc_fit = fit_scaling([(r["n"], r["j_c"]) for r in records], "free")
-        jc_fixed = fit_scaling([(r["n"], r["j_c"]) for r in records],
-                               "fixed-slope", slope=-1.0)
-        jcs_fixed = fit_scaling([(r["n"], r["j_cs"]) for r in records],
-                                "fixed-slope", slope=-1.0)
-        doc.update({
-            "j_c_free": {"coefficient": jc_fit.coefficient, "slope": jc_fit.slope},
-            "j_c_fixed": {"coefficient": jc_fixed.coefficient, "slope": -1.0},
-            "j_cs_fixed": {"coefficient": jcs_fixed.coefficient, "slope": -1.0},
-        })
+        columns, fits = ["n", "j_c", "j_cs"], [("j_c", None), ("j_c", -1.0), ("j_cs", -1.0)]
     elif cfg.scaling_mode == "delta":
-        n = cfg.lx * cfg.ly
-        records = scaling_study_delta(n, cfg.delta_values, cfg.n_d,
+        records = scaling_study_delta(cfg.lx * cfg.ly, cfg.delta_values, cfg.n_d,
                                       cfg.master_seed, n_workers=cfg.threads)
-        rows = [[r["delta"], r["j_cs"]] for r in records]
-        _write_csv(out / "scaling.csv", ["delta", "j_cs"], rows)
-        free = fit_scaling([(r["delta"], r["j_cs"]) for r in records], "free")
-        fixed = fit_scaling([(r["delta"], r["j_cs"]) for r in records],
-                            "fixed-slope", slope=1.0)
-        doc.update({
-            "j_cs_free": {"coefficient": free.coefficient, "slope": free.slope},
-            "j_cs_fixed": {"coefficient": fixed.coefficient, "slope": 1.0},
-        })
+        columns, fits = ["delta", "j_cs"], [("j_cs", None), ("j_cs", 1.0)]
     else:
         raise ConfigError(f"scaling_mode must be 'n' or 'delta', got {cfg.scaling_mode!r}")
-    (out / "scaling.json").write_text(json.dumps(doc, indent=2) + "\n")
-    manifest.write(out / "scaling_manifest.json")
+    x = columns[0]
+    _write_csv(out / "scaling.csv", columns, [[r[c] for c in columns] for r in records])
+    doc = {"mode": cfg.scaling_mode}
+    for y, slope in fits:
+        fit = fit_scaling([(r[x], r[y]) for r in records],
+                          "free" if slope is None else "fixed-slope", slope=slope)
+        doc[f"{y}_{'free' if slope is None else 'fixed'}"] = {
+            "coefficient": fit.coefficient, "slope": fit.slope}
+    _write_json(out / "scaling.json", doc)
     return 0
 
 
-def _cmd_melt(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    manifest = _Manifest(config_dict(cfg), cfg.master_seed)
+def _melt(cfg: RunConfig, args, out: Path) -> int:
     mmap = melting_map(cfg.model_params(), cfg.j_grid, cfg.n_energy_bins,
                        derive_seed(cfg.master_seed, 0))
     rows = []
@@ -335,8 +258,19 @@ def _cmd_melt(args) -> int:
                          "" if np.isnan(val) else val, mmap.counts[row, b]])
     _write_csv(out / "melt.csv", ["j", "bin_left", "bin_right", "sq_mean", "count"],
                rows)
-    manifest.write(out / "melt_manifest.json")
     return 0
+
+
+# Command name -> (body, help text); the order is the order of the help listing.
+_COMMANDS = {
+    "spectrum": (_spectrum, "one realization: eigenvalues + residuals"),
+    "pss": (_pss, "spacing histogram and eta at one J"),
+    "sweep": (_sweep, "eta and S_q versus J"),
+    "critical": (_critical, "extract J_c and J_cs from a sweep"),
+    "scaling": (_scaling, "critical-coupling scaling fits"),
+    "melt": (_melt, "S_q melting map for one realization"),
+    "estimate": (_estimate, "closed-form estimates for arbitrary n"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,20 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qubitchaos",
         description="Chaos-border diagnostics for a disordered coupled-qubit model")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_config(p):
-        p.add_argument("--config", help="JSON config file")
-        return p
-
-    sp = with_config(sub.add_parser("spectrum", help="one realization: eigenvalues + residuals"))
-    sp.add_argument("--dump-matrix", action="store_true",
-                    help="also write the sector matrix as (row, col, value) triplets")
-    with_config(sub.add_parser("pss", help="spacing histogram and eta at one J"))
-    with_config(sub.add_parser("sweep", help="eta and S_q versus J"))
-    with_config(sub.add_parser("critical", help="extract J_c and J_cs from a sweep"))
-    with_config(sub.add_parser("scaling", help="critical-coupling scaling fits"))
-    with_config(sub.add_parser("melt", help="S_q melting map for one realization"))
-    est = sub.add_parser("estimate", help="closed-form estimates for arbitrary n")
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "estimate":
+            p.add_argument("--config", help="JSON config file")
+    sub.choices["spectrum"].add_argument(
+        "--dump-matrix", action="store_true",
+        help="also write the sector matrix as (row, col, value) triplets")
+    est = sub.choices["estimate"]
     est.add_argument("--n", type=int, required=True)
     est.add_argument("--delta0", type=float, default=1.0)
     est.add_argument("--delta", type=float, default=1.0)
@@ -366,24 +294,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "estimate": _cmd_estimate,
-    "spectrum": _cmd_spectrum,
-    "pss": _cmd_pss,
-    "sweep": _cmd_sweep,
-    "critical": _cmd_critical,
-    "scaling": _cmd_scaling,
-    "melt": _cmd_melt,
-}
-
-
 def run_command(argv) -> int:
-    """Dispatch a CLI invocation; returns the process exit status."""
+    """Run one CLI invocation; returns the process exit status.
+
+    Every command runs the same way: load and validate its config, resolve the
+    output directory, run the command body, then write `<command>_manifest.json`.
+    `estimate` takes its config from flags and records it with seed 0.
+    """
     args = _build_parser().parse_args(argv)
+    body = _COMMANDS[args.command][0]
     try:
-        return _HANDLERS[args.command](args)
-    except (ConfigError, InsufficientStatisticsError, DegenerateWindowError,
-            FileNotFoundError, RuntimeError, ValueError) as exc:
+        if args.command == "estimate":
+            cfg = None
+            record = {"n": args.n, "delta0": args.delta0, "delta": args.delta, "c": args.c}
+            seed, out = 0, args.output_dir
+        else:
+            if args.config is None:
+                raise ConfigError("this command requires --config FILE")
+            cfg = parse_config(Path(args.config).read_text())
+            record, seed, out = asdict(cfg), cfg.master_seed, cfg.output_dir
+        out = Path(os.environ.get(OUTPUT_DIR_ENV, out))
+        out.mkdir(parents=True, exist_ok=True)
+        started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        t0 = time.monotonic()
+        skipped = body(cfg, args, out)
+        _write_json(out / f"{args.command}_manifest.json", {
+            "config": record, "master_seed": seed, "version": __version__,
+            "started_at": started_at, "elapsed_s": round(time.monotonic() - t0, 3),
+            "skipped_realizations": skipped})
+        return 0
+    # OSError for unreadable configs and unwritable outputs; every type in .errors
+    # is a RuntimeError or a ValueError.
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,10 +17,6 @@ from .errors import GeometryError
 
 DELTA0 = 1.0
 
-# Most compact rectangles for the qubit counts used in the scaling study.
-COMPACT_SHAPES = {2: (1, 2), 4: (2, 2), 6: (2, 3), 8: (2, 4), 9: (3, 3),
-                  10: (2, 5), 12: (3, 4), 15: (3, 5), 16: (4, 4)}
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -161,8 +157,6 @@ def theoretical_jc(n: int, delta0: float = DELTA0, delta: float = DELTA0,
 
 def compact_shape(n: int) -> tuple[int, int]:
     """Most compact (lx, ly) rectangle with lx*ly = n, lx <= ly."""
-    if n in COMPACT_SHAPES:
-        return COMPACT_SHAPES[n]
     best = (1, n)
     for lx in range(1, int(math.isqrt(n)) + 1):
         if n % lx == 0:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from qubitchaos.basis import (build_hamiltonian, diagonal_energies, diagonal_energy,
-                              enumerate_sector, popcount)
+from qubitchaos.basis import build_hamiltonian, diagonal_energies, enumerate_sector, popcount
 from qubitchaos.errors import CapacityError
 from qubitchaos.model import Bond, DisorderRealization, ModelParams, build_bonds, sample_disorder
+
+
+def diagonal_energy(state: int, gammas: np.ndarray) -> float:
+    """Scalar oracle for diagonal_energies: sum_i Gamma_i * (1 - 2*b_i) for bits b_i."""
+    bits = (int(state) >> np.arange(len(gammas))) & 1
+    return float(np.dot(gammas, 1 - 2 * bits))
 
 
 def realization(gammas, couplings, seed=0):

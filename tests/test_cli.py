@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qubitchaos
 from qubitchaos.cli import parse_config, run_command
 from qubitchaos.errors import ConfigError
 
@@ -55,6 +59,77 @@ class TestParseConfig:
             parse_config(json.dumps(dict(BASE, j_grid=[0.3, 0.1])))
         with pytest.raises(ConfigError):
             parse_config(json.dumps(dict(BASE, j_grid=[-0.1, 0.3])))
+
+
+# n = 6 config under which every command succeeds
+SMALL = {"lx": 2, "ly": 3, "delta": 1.0, "j": 0.3, "j_grid": [0.02, 0.08, 0.3, 0.9],
+         "n_d": 40, "master_seed": 42, "n_energy_bins": 5,
+         "scaling_mode": "delta", "delta_values": [0.5, 1.0]}
+COMMAND_ARGS = {
+    "estimate": ["--n", "6"],
+    "spectrum": ["--dump-matrix"],
+    "pss": [], "sweep": [], "critical": [], "scaling": [], "melt": [],
+}
+MANIFEST_KEYS = {"config", "master_seed", "version", "started_at", "elapsed_s",
+                 "skipped_realizations"}
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, override", [
+    ("sweep", {"lx": "3"}),
+    ("sweep", {"n_d": 2.5}),
+    ("sweep", {"threads": "2"}),
+    ("sweep", {"n_d": True}),
+    ("pss", {"j": float("nan")}),
+    ("pss", {"j": float("inf")}),
+    ("sweep", {"j_grid": [0.05, float("nan"), 0.3]}),
+], ids=["lx-str", "n_d-float", "threads-str", "n_d-bool", "j-nan", "j-inf",
+        "j_grid-nan"])
+def test_mistyped_config_is_config_error(tmp_path, capsys, command, override):
+    cfg = write_config(tmp_path, **dict(SMALL, output_dir=str(tmp_path / "out"),
+                                        **override))
+    with pytest.raises(ConfigError, match=f"config key '{next(iter(override))}'"):
+        parse_config(cfg.read_text())
+    assert run_command([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_outputs_are_strict_json_with_one_manifest_schema(tmp_path, command):
+    out = tmp_path / "out"
+    if command == "estimate":
+        source = ["--output-dir", str(out)]
+    else:
+        doc = dict(SMALL, output_dir=str(out), n_d=1 if command == "scaling" else 40)
+        source = ["--config", str(write_config(tmp_path, **doc))]
+    assert run_command([command, *COMMAND_ARGS[command], *source]) == 0
+    for path in out.glob("*.json"):
+        strict_json(path.read_text())
+    manifest = strict_json((out / f"{command}_manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+
+
+def test_python_m_qubitchaos(tmp_path):
+    src = str(Path(qubitchaos.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", "qubitchaos", *args],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    ok = python_m("estimate", "--n", "12", "--output-dir", str(tmp_path))
+    assert ok.returncode == 0, ok.stderr
+    assert "J_c" in ok.stdout and (tmp_path / "estimate.json").exists()
+    bad = python_m("sweep", "--config", str(write_config(tmp_path, lx="3")))
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
 
 
 class TestEstimateCommand:
