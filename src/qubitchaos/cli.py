@@ -307,6 +307,9 @@ def run_command(argv) -> int:
         if args.command == "estimate":
             cfg = None
             record = {"n": args.n, "delta0": args.delta0, "delta": args.delta, "c": args.c}
+            for flag in ("delta0", "delta", "c"):
+                if not math.isfinite(value := record[flag]):
+                    raise ConfigError(f"--{flag} must be a finite number, got {value!r}")
             seed, out = 0, args.output_dir
         else:
             if args.config is None:
@@ -332,3 +335,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -48,8 +48,8 @@ def eigenstate_profile(eigenvector: np.ndarray, diag_energies: np.ndarray,
 def entropies(eigenvectors: np.ndarray) -> np.ndarray:
     """S_q for every eigenvector column at once."""
     w = eigenvectors * eigenvectors
-    safe = np.where(w > 0.0, w, 1.0)
-    return -(w * np.log2(safe)).sum(axis=0)
+    log_w = np.log2(w, out=np.zeros_like(w), where=w > 0.0)
+    return -np.einsum("ij,ij->j", w, log_w)
 
 
 def mean_entropy(decomp: EigenDecomposition, window: slice) -> tuple[float, float]:

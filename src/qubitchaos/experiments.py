@@ -230,6 +230,19 @@ def fit_scaling(points, mode: str = "free", slope: float | None = None) -> FitRe
                      residuals=residuals, mode=mode)
 
 
+def _energies_and_entropies(sector, realization, bonds) -> tuple[np.ndarray, np.ndarray]:
+    """Relative energies (0 to 1) and S_q of every eigenstate of one realization.
+
+    The matrix lives only through the solve and the eigenvectors only in this
+    frame, so neither is held during the caller's next solve.
+    """
+    decomp = diagonalize(build_hamiltonian(sector, realization, bonds))
+    e = decomp.eigenvalues
+    span = e[-1] - e[0]
+    rel = (e - e[0]) / span if span > 0 else np.zeros_like(e)
+    return rel, entropies(decomp.eigenvectors)
+
+
 def melting_map(params: ModelParams, j_grid, n_energy_bins: int,
                 seed: int) -> MeltingMap:
     """Mean S_q per (relative eigenstate energy, J) cell for one realization.
@@ -250,11 +263,7 @@ def melting_map(params: ModelParams, j_grid, n_energy_bins: int,
     counts = np.zeros((len(j_values), n_energy_bins), dtype=int)
     for row, j in enumerate(j_values):
         realization = replace(base, couplings=j * base.couplings)
-        decomp = diagonalize(build_hamiltonian(sector, realization, bonds))
-        e = decomp.eigenvalues
-        span = e[-1] - e[0]
-        rel = (e - e[0]) / span if span > 0 else np.zeros_like(e)
-        sq = entropies(decomp.eigenvectors)
+        rel, sq = _energies_and_entropies(sector, realization, bonds)
         idx = np.clip(np.digitize(rel, edges) - 1, 0, n_energy_bins - 1)
         for b in range(n_energy_bins):
             mask = idx == b

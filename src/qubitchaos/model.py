@@ -123,21 +123,26 @@ def sample_disorder(params: ModelParams, seed: int,
     return DisorderRealization(gammas=gammas, couplings=couplings, seed=int(seed))
 
 
+def _check_estimate_args(n: int, delta0: float):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not delta0 > 0:
+        raise ValueError(f"delta0 must be > 0, got {delta0!r}")
+
+
 def multiqubit_spacing(n: int, delta0: float = DELTA0) -> float:
     """Mean many-body level spacing estimate n*delta0/2^n.
 
     Evaluated in the log domain so it degrades gracefully (to subnormals, then
     0.0) rather than overflowing intermediate 2^n for large n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_estimate_args(n, delta0)
     return math.exp(math.log(n) + math.log(delta0) - n * math.log(2.0))
 
 
 def multiqubit_spacing_log10(n: int, delta0: float = DELTA0) -> float:
     """log10 of the spacing estimate; usable for any n (no underflow)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_estimate_args(n, delta0)
     return (math.log10(n) + math.log10(delta0)) - n * math.log10(2.0)
 
 
@@ -148,8 +153,7 @@ def theoretical_jc(n: int, delta0: float = DELTA0, delta: float = DELTA0,
     First element: generic-regime critical coupling; second: the two-state
     mixing border, proportional to the disorder width.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_estimate_args(n, delta0)
     if c <= 0:
         raise ValueError("c must be > 0")
     return (c * delta0 / n, 0.4 * delta / n)

@@ -120,14 +120,16 @@ def test_python_m_qubitchaos(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def python_m(*args):
-        return subprocess.run([sys.executable, "-m", "qubitchaos", *args],
+        return subprocess.run([sys.executable, "-m", *args],
                               capture_output=True, text=True, env=env,
                               cwd=tmp_path, timeout=120)
 
-    ok = python_m("estimate", "--n", "12", "--output-dir", str(tmp_path))
-    assert ok.returncode == 0, ok.stderr
-    assert "J_c" in ok.stdout and (tmp_path / "estimate.json").exists()
-    bad = python_m("sweep", "--config", str(write_config(tmp_path, lx="3")))
+    for module in ("qubitchaos", "qubitchaos.cli"):
+        out = tmp_path / module
+        ok = python_m(module, "estimate", "--n", "12", "--output-dir", str(out))
+        assert ok.returncode == 0, ok.stderr
+        assert "J_c" in ok.stdout and (out / "estimate.json").exists()
+    bad = python_m("qubitchaos", "sweep", "--config", str(write_config(tmp_path, lx="3")))
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
 
@@ -144,6 +146,22 @@ class TestEstimateCommand:
             3 - 1000 * math.log10(2))
         assert doc["j_cs"] == pytest.approx(4e-4)
         assert (tmp_path / "estimate_manifest.json").exists()
+
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--delta0", "0", "delta0 must be > 0"), ("--delta0", "-1", "delta0 must be > 0"),
+        ("--delta0", "nan", "--delta0 must be a finite number"),
+        ("--delta", "nan", "--delta must be a finite number"),
+        ("--delta", "inf", "--delta must be a finite number"),
+        ("--c", "-inf", "--c must be a finite number")])
+    def test_bad_flag_fails_before_output(self, tmp_path, capsys, flag, value, rule):
+        status = run_command(["estimate", "--n", "12", f"{flag}={value}",
+                              "--output-dir", str(tmp_path)])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and rule in captured.err
+        assert not (tmp_path / "estimate.json").exists()
 
 
 class TestSpectrumCommand:

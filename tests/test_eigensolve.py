@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.eigensolve import EigenDecomposition, diagonalize, validate
@@ -88,6 +89,33 @@ class TestWindowedDiagonalize:
         h = random_symmetric(30, seed=12)
         assert np.allclose(diagonalize(h, slice(None)).eigenvalues,
                            diagonalize(h).eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, window", [
+        ("identity", slice(3, 9)), ("zero", slice(2, 5)),
+        ("repeated_blocks", slice(4, 10)), ("tiny_offdiagonal", slice(1, 7)),
+        ("diagonal", slice(2, 6)), ("one_by_one", slice(None)),
+        ("two_by_two", slice(1, 2)), ("full_range", slice(None))])
+    def test_matches_evr_subset(self, name, window):
+        rng = np.random.default_rng(16)
+        b = random_symmetric(4, seed=17)
+        tiny = np.diag(np.full(7, 1e-170), 1)
+        h = {"identity": np.eye(12), "zero": np.zeros((8, 8)),
+             "repeated_blocks": scipy.linalg.block_diag(b, b, b),
+             "tiny_offdiagonal": np.diag(rng.standard_normal(8)) + tiny + tiny.T,
+             "diagonal": np.diag(rng.standard_normal(9)),
+             "one_by_one": np.array([[2.5]]),
+             "two_by_two": np.array([[1.0, 2.0], [2.0, -1.0]]),
+             "full_range": random_symmetric(40, seed=18)}[name]
+        lo, hi, _ = window.indices(len(h))
+        d = diagonalize(h, window)
+        w = scipy.linalg.eigh(h, driver="evr", subset_by_index=[lo, hi - 1], eigvals_only=True)
+        assert d.eigenvectors.shape == (len(h), hi - lo)
+        assert np.allclose(d.eigenvalues, w, rtol=0, atol=1e-12)
+        assert validate(d, h).passed
+        if name == "diagonal":  # exact unit vectors, matched to their diagonal entries
+            rows = np.argmax(np.abs(d.eigenvectors), axis=0)
+            assert np.array_equal(np.abs(d.eigenvectors), np.eye(len(h))[:, rows])
+            assert np.array_equal(d.eigenvalues, np.diag(h)[rows])
 
     @pytest.mark.parametrize("window", [slice(3, 3), slice(5, 2), slice(0, 6, 2)])
     def test_empty_or_strided_window_rejected(self, window):

@@ -60,6 +60,19 @@ class TestEntropy:
         _, d1 = sector_decomposition(0.3)
         assert np.all(entropies(d1.eigenvectors) > 0.0)
 
+    def test_columns_match_entropy_sq(self):
+        _, d = sector_decomposition(0.3)
+        v = d.eigenvectors.copy()
+        v[:, 0] = 0.0
+        v[0, 0] = 1.0              # one exact basis state
+        v[:, 1] = 0.0
+        v[[2, 5], 1] = np.sqrt(0.5)  # an exact two-state mixture
+        v[:3, 2] = 0.0             # exact zeros inside a generic column
+        vals = entropies(v)
+        assert vals[0] == 0.0 and vals[1] == pytest.approx(1.0)
+        expected = [entropy_sq(weights(v[:, k])) for k in range(v.shape[1])]
+        assert np.allclose(vals, expected, rtol=0, atol=1e-13)
+
     def test_merge_never_increases_entropy(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
