@@ -43,14 +43,14 @@ class SectorHamiltonian:
     diag_energies: np.ndarray
 
 
-def enumerate_sector(n: int, parity: int, cap: int = SECTOR_CAP_QUBITS) -> ParitySector:
+def enumerate_sector(n: int, parity: int) -> ParitySector:
     """All n-bit integers with popcount of the given parity, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if parity not in (0, 1):
         raise ValueError("parity must be 0 (even) or 1 (odd)")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds dense-matrix cap of {cap} qubits")
+    if n > SECTOR_CAP_QUBITS:
+        raise CapacityError(f"n={n} exceeds dense-matrix cap of {SECTOR_CAP_QUBITS} qubits")
     all_states = np.arange(1 << n, dtype=np.uint32)
     pops = popcount(all_states)
     states = all_states[(pops & 1) == parity]

@@ -41,14 +41,14 @@ class RunConfig:
 
     lx: int
     ly: int
-    delta: float = 1.0
+    delta: float = ModelParams.delta
     j: float | None = None
     j_grid: list[float] = field(default_factory=lambda: list(DEFAULT_J_GRID))
     n_d: int = 100
     master_seed: int = 0
     output_dir: str = "."
-    window_fraction: float = 0.0625
-    parity: str = "even"
+    window_fraction: float = ModelParams.window_fraction
+    parity: str = ModelParams.parity
     n_energy_bins: int = 20
     eta_target: float = 0.3
     sq_target: float = 1.0
@@ -57,7 +57,6 @@ class RunConfig:
     scaling_mode: str = "n"
     n_values: list[int] = field(default_factory=lambda: [6, 9, 12])
     delta_values: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
-    threads: int = 1
 
     def model_params(self, j: float = 0.0) -> ModelParams:
         return ModelParams(lx=self.lx, ly=self.ly, delta=self.delta, j_bound=j,
@@ -115,8 +114,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("j_grid must be ascending")
     if cfg.n_d < 1:
         raise ConfigError("n_d must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 
@@ -176,8 +173,7 @@ def _spectrum(cfg: RunConfig, args, out: Path) -> int:
 def _pss(cfg: RunConfig, args, out: Path) -> int:
     if cfg.j is None:
         raise ConfigError("pss requires a 'j' value in the config")
-    result = run_ensemble(cfg.model_params(), cfg.j, cfg.n_d, cfg.master_seed,
-                          n_workers=cfg.threads)
+    result = run_ensemble(cfg.model_params(), cfg.j, cfg.n_d, cfg.master_seed)
     hist = spacing_histogram(result.sample, cfg.bin_width, cfg.s_max)
     centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.density,
@@ -194,8 +190,7 @@ def _pss(cfg: RunConfig, args, out: Path) -> int:
 
 def _sweep_to_csv(cfg: RunConfig, path: Path):
     """Run the config's J sweep and write it as CSV; returns (points, skipped)."""
-    points = sweep_j(cfg.model_params(), cfg.j_grid, cfg.n_d, cfg.master_seed,
-                     n_workers=cfg.threads)
+    points = sweep_j(cfg.model_params(), cfg.j_grid, cfg.n_d, cfg.master_seed)
     _write_csv(path, ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem", "n_s", "n_d"],
                [[p.j, p.eta_mean, p.eta_sem, p.sq_mean, p.sq_sem, p.n_s, p.n_d]
                 for p in points])
@@ -226,12 +221,12 @@ def _critical(cfg: RunConfig, args, out: Path) -> int:
 def _scaling(cfg: RunConfig, args, out: Path) -> int:
     # (border, slope) pairs to fit against the first column; slope None fits it too.
     if cfg.scaling_mode == "n":
-        records = scaling_study_n(cfg.n_values, cfg.delta, cfg.n_d,
-                                  cfg.master_seed, n_workers=cfg.threads)
+        records = scaling_study_n(cfg.model_params(), cfg.n_values, cfg.n_d,
+                                  cfg.master_seed, cfg.eta_target, cfg.sq_target)
         columns, fits = ["n", "j_c", "j_cs"], [("j_c", None), ("j_c", -1.0), ("j_cs", -1.0)]
     elif cfg.scaling_mode == "delta":
-        records = scaling_study_delta(cfg.lx * cfg.ly, cfg.delta_values, cfg.n_d,
-                                      cfg.master_seed, n_workers=cfg.threads)
+        records = scaling_study_delta(cfg.model_params(), cfg.delta_values, cfg.n_d,
+                                      cfg.master_seed, cfg.sq_target)
         columns, fits = ["delta", "j_cs"], [("j_cs", None), ("j_cs", 1.0)]
     else:
         raise ConfigError(f"scaling_mode must be 'n' or 'delta', got {cfg.scaling_mode!r}")
@@ -273,8 +268,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError, so it ends like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qubitchaos",
         description="Chaos-border diagnostics for a disordered coupled-qubit model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,9 +303,9 @@ def run_command(argv) -> int:
     output directory, run the command body, then write `<command>_manifest.json`.
     `estimate` takes its config from flags and records it with seed 0.
     """
-    args = _build_parser().parse_args(argv)
-    body = _COMMANDS[args.command][0]
     try:
+        args = _build_parser().parse_args(argv)
+        body = _COMMANDS[args.command][0]
         if args.command == "estimate":
             cfg = None
             record = {"n": args.n, "delta0": args.delta0, "delta": args.delta, "c": args.c}

@@ -1,14 +1,13 @@
 """Ensemble orchestration: J-sweeps, critical couplings, scaling fits, melting map.
 
-A realization is the unit of work and of parallelism.  Every realization k of
-a run derives its own seed from (master_seed, k), so results are a pure
-function of the run parameters, independent of worker count and scheduling.
+A realization is the unit of work.  Every realization k of a run derives its
+own seed from (master_seed, k), so results are a pure function of the run
+parameters, and the first m realizations of a run are those of any longer run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,8 +93,7 @@ def _one_realization(params: ModelParams, sector, bonds, seed: int):
     return spacings, eta(spacings), sq
 
 
-def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int,
-                 n_workers: int = 1) -> EnsembleResult:
+def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int) -> EnsembleResult:
     """Diagonalize n_d disorder realizations at coupling bound j and pool stats.
 
     The central window holds the middle 2*window_fraction of the levels.
@@ -108,21 +106,15 @@ def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int,
     run_params = replace(params, j_bound=j)
     sector = enumerate_sector(params.n, params.parity_bit)
     bonds = build_bonds(params.lx, params.ly)
-    seeds = [derive_seed(master_seed, k) for k in range(n_d)]
-
-    def task(k: int):
+    kept = []
+    for k in range(n_d):
+        seed = derive_seed(master_seed, k)
         try:
-            return _one_realization(run_params, sector, bonds, seeds[k])
+            result = _one_realization(run_params, sector, bonds, seed)
         except (CapacityError, DiagonalizationError) as exc:
-            raise type(exc)(f"realization {k} (seed {seeds[k]}): {exc}") from exc
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(task, range(n_d)))
-    else:
-        results = [task(k) for k in range(n_d)]
-
-    kept = [r for r in results if r is not None]
+            raise type(exc)(f"realization {k} (seed {seed}): {exc}") from exc
+        if result is not None:
+            kept.append(result)
     n_skipped = n_d - len(kept)
     if not kept:
         raise InsufficientStatisticsError(
@@ -149,8 +141,7 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int,
-            n_workers: int = 1) -> list[SweepPoint]:
+def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int) -> list[SweepPoint]:
     """One ensemble per grid value; pooled eta with per-realization SEMs."""
     j_grid = list(j_grid)
     if len(j_grid) < 2:
@@ -159,15 +150,15 @@ def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int,
         raise ValueError("j_grid must be ascending")
     points = []
     for j in j_grid:
-        r = run_ensemble(params, j, n_d, master_seed, n_workers=n_workers)
+        r = run_ensemble(params, j, n_d, master_seed)
         points.append(SweepPoint(j=float(j), eta_mean=r.eta_pooled, eta_sem=r.eta_sem,
                                  sq_mean=r.sq_mean, sq_sem=r.sq_sem,
                                  n_s=r.sample.n_s, n_d=r.sample.n_d))
     return points
 
 
-def find_critical(sweep: list[SweepPoint], target_kind: str = "eta",
-                  target_value: float | None = None) -> CriticalResult:
+def find_critical(sweep: list[SweepPoint], target_kind: str,
+                  target_value: float) -> CriticalResult:
     """Critical coupling where the observable crosses its target.
 
     Log-linear interpolation in (log J, observable) between the bracketing
@@ -175,11 +166,10 @@ def find_critical(sweep: list[SweepPoint], target_kind: str = "eta",
     set the ambiguity flag.  Falls back to linear interpolation if the lower
     bracket sits at J = 0.
     """
+    t = target_value
     if target_kind == "eta":
-        t = 0.3 if target_value is None else target_value
         ys = [p.eta_mean for p in sweep]
     elif target_kind == "sq":
-        t = 1.0 if target_value is None else target_value
         ys = [p.sq_mean for p in sweep]
     else:
         raise ValueError(f"unknown target kind {target_kind!r}")
@@ -274,49 +264,51 @@ def melting_map(params: ModelParams, j_grid, n_energy_bins: int,
                       counts=counts, seed=int(seed))
 
 
-def default_n_d(n: int, base: int = 100) -> int:
+def default_n_d(n: int, base: int) -> int:
     """Realization count: `base` at n = 12, doubled per qubit removed, capped."""
     return int(min(4000, max(5, base * 2 ** (12 - n))))
 
 
-def grid_for_n(n: int, delta: float = 1.0, c: float = 3.16,
-               n_points: int = 12) -> np.ndarray:
-    """Log grid spanning both borders (S_q = 1 near 0.4*delta/n, eta = 0.3 near c/n)."""
-    jc, jcs = theoretical_jc(n, delta=delta, c=c)
-    return np.geomspace(0.4 * jcs, 3.0 * jc, n_points)
+def grid_for_n(n: int, delta: float) -> np.ndarray:
+    """Log grid spanning both borders (S_q = 1 near 0.4*delta/n, eta = 0.3 near C/n)."""
+    jc, jcs = theoretical_jc(n, delta=delta)
+    return np.geomspace(0.4 * jcs, 3.0 * jc, 12)
 
 
-def grid_for_delta(n: int, delta: float, n_points: int = 9) -> np.ndarray:
+def grid_for_delta(n: int, delta: float) -> np.ndarray:
     """Log grid bracketing the entropy border at fixed n and given delta."""
     _, jcs = theoretical_jc(n, delta=delta)
-    return np.geomspace(0.3 * jcs, 4.0 * jcs, n_points)
+    return np.geomspace(0.3 * jcs, 4.0 * jcs, 9)
 
 
-def scaling_study_n(n_values, delta: float, n_d_base: int, master_seed: int,
-                    n_workers: int = 1):
-    """Measure J_c and J_cs across qubit counts; returns per-n records."""
+def scaling_study_n(params: ModelParams, n_values, n_d_base: int, master_seed: int,
+                    eta_target: float, sq_target: float):
+    """Measure J_c and J_cs across qubit counts; returns per-n records.
+
+    Each n runs on the most compact lattice with n sites; every other model
+    parameter is taken from `params`.
+    """
     records = []
     for n in n_values:
         lx, ly = compact_shape(n)
-        params = ModelParams(lx=lx, ly=ly, delta=delta)
-        sweep = sweep_j(params, grid_for_n(n, delta), default_n_d(n, n_d_base),
-                        master_seed, n_workers=n_workers)
-        jc = find_critical(sweep, "eta", 0.3)
-        jcs = find_critical(sweep, "sq", 1.0)
+        sweep = sweep_j(replace(params, lx=lx, ly=ly), grid_for_n(n, params.delta),
+                        default_n_d(n, n_d_base), master_seed)
+        jc = find_critical(sweep, "eta", eta_target)
+        jcs = find_critical(sweep, "sq", sq_target)
         records.append({"n": n, "j_c": jc.j_crit, "j_cs": jcs.j_crit,
                         "sweep": sweep})
     return records
 
 
-def scaling_study_delta(n: int, delta_values, n_d_base: int, master_seed: int,
-                        n_workers: int = 1):
-    """Measure J_cs across disorder widths at fixed n; returns per-delta records."""
-    lx, ly = compact_shape(n)
+def scaling_study_delta(params: ModelParams, delta_values, n_d_base: int,
+                        master_seed: int, sq_target: float):
+    """Measure J_cs across disorder widths on the lattice of `params`; returns
+    per-delta records.  Every other model parameter is taken from `params`.
+    """
     records = []
     for delta in delta_values:
-        params = ModelParams(lx=lx, ly=ly, delta=delta)
-        sweep = sweep_j(params, grid_for_delta(n, delta), default_n_d(n, n_d_base),
-                        master_seed, n_workers=n_workers)
-        jcs = find_critical(sweep, "sq", 1.0)
+        sweep = sweep_j(replace(params, delta=delta), grid_for_delta(params.n, delta),
+                        default_n_d(params.n, n_d_base), master_seed)
+        jcs = find_critical(sweep, "sq", sq_target)
         records.append({"delta": delta, "j_cs": jcs.j_crit, "sweep": sweep})
     return records

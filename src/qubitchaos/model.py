@@ -28,13 +28,12 @@ class ModelParams:
     j_bound: float = 0.0
     window_fraction: float = 0.0625
     parity: str = "even"
-    delta0: float = DELTA0
 
     def __post_init__(self):
         if self.lx < 1 or self.ly < 1 or self.lx * self.ly < 2:
             raise GeometryError(f"lattice {self.lx}x{self.ly} has fewer than 2 sites")
-        if not 0.0 <= self.delta <= self.delta0:
-            raise ValueError(f"delta={self.delta} outside [0, delta0={self.delta0}]")
+        if not 0.0 <= self.delta <= DELTA0:
+            raise ValueError(f"delta={self.delta} outside [0, delta0={DELTA0}]")
         if self.j_bound < 0:
             raise ValueError(f"j_bound={self.j_bound} must be >= 0")
         if not 0.0 < self.window_fraction <= 0.5:
@@ -115,9 +114,9 @@ def sample_disorder(params: ModelParams, seed: int,
         bonds = build_bonds(params.lx, params.ly)
     rng = np.random.default_rng(seed)
     half = 0.5 * params.delta
-    gammas = rng.uniform(params.delta0 - half, params.delta0 + half, size=params.n)
+    gammas = rng.uniform(DELTA0 - half, DELTA0 + half, size=params.n)
     if params.delta == 0.0:
-        gammas = np.full(params.n, params.delta0)
+        gammas = np.full(params.n, DELTA0)
     j = params.j_bound
     couplings = rng.uniform(-j, j, size=len(bonds)) if j > 0 else np.zeros(len(bonds))
     return DisorderRealization(gammas=gammas, couplings=couplings, seed=int(seed))

@@ -60,7 +60,7 @@ def reference_cdf(which: str, s) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def select_central_levels(dim: int, fraction: float = 0.0625) -> slice:
+def select_central_levels(dim: int, fraction: float) -> slice:
     """Central 2*fraction of the dim levels by index (at least 4), as a slice.
 
     Counting states instead of energy keeps the selected density locally flat
@@ -108,7 +108,7 @@ def eta(sample) -> float:
     return (f_hat - F_WIGNER_S0) / (F_POISSON_S0 - F_WIGNER_S0)
 
 
-def spacing_histogram(sample, bin_width: float = 0.1, s_max: float = 5.0) -> Histogram:
+def spacing_histogram(sample, bin_width: float, s_max: float) -> Histogram:
     """Density-normalized histogram of spacings over [0, s_max]."""
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")

@@ -11,6 +11,9 @@ import pytest
 import qubitchaos
 from qubitchaos.cli import parse_config, run_command
 from qubitchaos.errors import ConfigError
+from qubitchaos.experiments import (default_n_d, find_critical, grid_for_delta,
+                                    grid_for_n, sweep_j)
+from qubitchaos.model import ModelParams
 
 
 BASE = {"lx": 3, "ly": 4, "delta": 1.0, "j_grid": [0.02, 0.48],
@@ -83,12 +86,12 @@ def strict_json(text):
 @pytest.mark.parametrize("command, override", [
     ("sweep", {"lx": "3"}),
     ("sweep", {"n_d": 2.5}),
-    ("sweep", {"threads": "2"}),
+    ("sweep", {"n_energy_bins": "5"}),
     ("sweep", {"n_d": True}),
     ("pss", {"j": float("nan")}),
     ("pss", {"j": float("inf")}),
     ("sweep", {"j_grid": [0.05, float("nan"), 0.3]}),
-], ids=["lx-str", "n_d-float", "threads-str", "n_d-bool", "j-nan", "j-inf",
+], ids=["lx-str", "n_d-float", "n_energy_bins-str", "n_d-bool", "j-nan", "j-inf",
         "j_grid-nan"])
 def test_mistyped_config_is_config_error(tmp_path, capsys, command, override):
     cfg = write_config(tmp_path, **dict(SMALL, output_dir=str(tmp_path / "out"),
@@ -97,6 +100,13 @@ def test_mistyped_config_is_config_error(tmp_path, capsys, command, override):
         parse_config(cfg.read_text())
     assert run_command([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_threads_is_an_unknown_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, **dict(SMALL, threads=2, output_dir=str(tmp_path)))
+    assert run_command(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown config keys: ['threads']")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
@@ -129,9 +139,15 @@ def test_python_m_qubitchaos(tmp_path):
         ok = python_m(module, "estimate", "--n", "12", "--output-dir", str(out))
         assert ok.returncode == 0, ok.stderr
         assert "J_c" in ok.stdout and (out / "estimate.json").exists()
-    bad = python_m("qubitchaos", "sweep", "--config", str(write_config(tmp_path, lx="3")))
-    assert bad.returncode == 1
-    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
+    config = str(write_config(tmp_path, lx="3"))
+    for argv in (["sweep", "--config", config], ["estimate", "--n", "12", "--c", "-inf"],
+                 [], ["bogus"], ["estimate", "--n", "twelve"]):
+        bad = python_m("qubitchaos", *argv)
+        assert bad.returncode == 1, argv
+        assert bad.stderr.startswith("error: "), argv
+        assert "usage:" not in bad.stderr and "Traceback" not in bad.stderr, argv
+    helped = python_m("qubitchaos", "--help")
+    assert helped.returncode == 0 and "usage:" in helped.stdout
 
 
 class TestEstimateCommand:
@@ -260,10 +276,37 @@ class TestScalingCommand:
         assert doc["mode"] == "delta"
         assert doc["j_cs_free"]["slope"] == pytest.approx(1.0, abs=0.5)
 
+    def test_delta_mode_reads_targets_and_model_keys(self, tmp_path):
+        cfg = write_config(tmp_path, lx=2, ly=3, scaling_mode="delta",
+                           delta_values=[0.5, 1.0], n_d=1, sq_target=0.8,
+                           window_fraction=0.25, parity="odd", output_dir=str(tmp_path))
+        assert run_command(["scaling", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader((tmp_path / "scaling.csv").open()))
+        assert [float(r["delta"]) for r in rows] == [0.5, 1.0]
+        for row in rows:
+            delta = float(row["delta"])
+            params = ModelParams(lx=2, ly=3, delta=delta, window_fraction=0.25,
+                                 parity="odd")
+            sweep = sweep_j(params, grid_for_delta(6, delta), default_n_d(6, 1), 42)
+            assert float(row["j_cs"]) == find_critical(sweep, "sq", 0.8).j_crit
 
-def test_unknown_command_exits_nonzero():
-    with pytest.raises(SystemExit):
-        run_command(["frobnicate"])
+    def test_n_mode_reads_targets(self, tmp_path):
+        cfg = write_config(tmp_path, scaling_mode="n", n_values=[6, 9], n_d=1,
+                           eta_target=0.4, sq_target=0.8, output_dir=str(tmp_path))
+        assert run_command(["scaling", "--config", str(cfg)]) == 0
+        rows = list(csv.DictReader((tmp_path / "scaling.csv").open()))
+        assert [int(r["n"]) for r in rows] == [6, 9]
+        for row, (lx, ly) in zip(rows, [(2, 3), (3, 3)]):
+            n = lx * ly
+            sweep = sweep_j(ModelParams(lx=lx, ly=ly), grid_for_n(n, 1.0),
+                            default_n_d(n, 1), 42)
+            assert float(row["j_c"]) == find_critical(sweep, "eta", 0.4).j_crit
+            assert float(row["j_cs"]) == find_critical(sweep, "sq", 0.8).j_crit
+
+
+def test_unknown_command_exits_nonzero(capsys):
+    assert run_command(["frobnicate"]) == 1
+    assert capsys.readouterr().err.startswith("error: argument command: invalid choice")
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

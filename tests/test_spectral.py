@@ -20,7 +20,7 @@ class TestSelectCentralLevels:
 
     def test_too_few_levels(self):
         with pytest.raises(InsufficientStatisticsError):
-            select_central_levels(3)
+            select_central_levels(3, 0.0625)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestNormalizedSpacings:
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         e = np.sort(rng.normal(size=300))
-        w = select_central_levels(len(e))
+        w = select_central_levels(len(e), 0.0625)
         assert np.allclose(normalized_spacings(e[w]),
                            normalized_spacings((e + 17.3)[w]), atol=1e-9)
 
@@ -149,8 +149,8 @@ class TestSpacingHistogram:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            spacing_histogram(np.array([]))
+            spacing_histogram(np.array([]), 0.1, 5.0)
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            spacing_histogram(np.array([1.0]), bin_width=0.0)
+            spacing_histogram(np.array([1.0]), bin_width=0.0, s_max=5.0)
