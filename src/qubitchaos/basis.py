@@ -25,7 +25,6 @@ class ParitySector:
     """Ordered basis of n-bit states with fixed popcount parity."""
 
     n: int
-    parity: int
     states: np.ndarray      # ascending n-bit integers
     index_of: np.ndarray    # full 2^n lookup, -1 outside the sector
 
@@ -36,11 +35,10 @@ class ParitySector:
 
 @dataclass
 class SectorHamiltonian:
-    """Dense real-symmetric sector matrix plus its noninteracting diagonal."""
+    """Dense real-symmetric sector matrix."""
 
     dim: int
     matrix: np.ndarray
-    diag_energies: np.ndarray
 
 
 def enumerate_sector(n: int, parity: int) -> ParitySector:
@@ -56,7 +54,7 @@ def enumerate_sector(n: int, parity: int) -> ParitySector:
     states = all_states[(pops & 1) == parity]
     index_of = np.full(1 << n, -1, dtype=np.int64)
     index_of[states] = np.arange(len(states))
-    return ParitySector(n=n, parity=parity, states=states, index_of=index_of)
+    return ParitySector(n=n, states=states, index_of=index_of)
 
 
 def popcount(states: np.ndarray) -> np.ndarray:
@@ -90,11 +88,10 @@ def build_hamiltonian(sector: ParitySector, realization: DisorderRealization,
         raise ValueError("realization does not match bond list")
     dim = sector.dim
     h = np.zeros((dim, dim))
-    diag = diagonal_energies(sector.states, realization.gammas)
-    np.fill_diagonal(h, diag)
+    np.fill_diagonal(h, diagonal_energies(sector.states, realization.gammas))
     rows = np.arange(dim)
     for bond, jij in zip(bonds, realization.couplings):
         mask = np.uint32((1 << bond.i) | (1 << bond.j))
         partners = sector.index_of[sector.states ^ mask]
         h[rows, partners] += jij
-    return SectorHamiltonian(dim=dim, matrix=h, diag_energies=diag)
+    return SectorHamiltonian(dim=dim, matrix=h)

@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .experiments import (DEFAULT_J_GRID, find_critical, fit_scaling, melting_map,
                           run_ensemble, scaling_study_delta, scaling_study_n,
                           sweep_j)
-from .model import (ModelParams, build_bonds, derive_seed, multiqubit_spacing_log10,
-                    sample_disorder, theoretical_jc)
+from .model import (C, DELTA0, ModelParams, build_bonds, derive_seed,
+                    multiqubit_spacing_log10, sample_disorder, theoretical_jc)
 from .spectral import poisson_pdf, spacing_histogram, wigner_pdf
 
 OUTPUT_DIR_ENV = "QUBITCHAOS_OUTPUT_DIR"
@@ -114,6 +114,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("j_grid must be ascending")
     if cfg.n_d < 1:
         raise ConfigError("n_d must be >= 1")
+    if not 0 < cfg.bin_width <= cfg.s_max:
+        raise ConfigError(f"need 0 < bin_width <= s_max (one histogram bin at least), "
+                          f"got bin_width {cfg.bin_width!r} and s_max {cfg.s_max!r}")
     return cfg
 
 
@@ -165,8 +168,9 @@ def _spectrum(cfg: RunConfig, args, out: Path) -> int:
     if args.dump_matrix:
         with open(out / "matrix.txt", "w") as fh:
             rows, cols = np.nonzero(h.matrix)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                fh.write(f"{r} {c} {h.matrix[r, c]!r}\n")
+            values = h.matrix[rows, cols]
+            for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+                fh.write(f"{r} {c} {v!r}\n")
     return 0
 
 
@@ -174,7 +178,7 @@ def _pss(cfg: RunConfig, args, out: Path) -> int:
     if cfg.j is None:
         raise ConfigError("pss requires a 'j' value in the config")
     result = run_ensemble(cfg.model_params(), cfg.j, cfg.n_d, cfg.master_seed)
-    hist = spacing_histogram(result.sample, cfg.bin_width, cfg.s_max)
+    hist = spacing_histogram(result.sample.spacings, cfg.bin_width, cfg.s_max)
     centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.density,
                poisson_pdf(centers), wigner_pdf(centers))
@@ -234,8 +238,7 @@ def _scaling(cfg: RunConfig, args, out: Path) -> int:
     _write_csv(out / "scaling.csv", columns, [[r[c] for c in columns] for r in records])
     doc = {"mode": cfg.scaling_mode}
     for y, slope in fits:
-        fit = fit_scaling([(r[x], r[y]) for r in records],
-                          "free" if slope is None else "fixed-slope", slope=slope)
+        fit = fit_scaling([(r[x], r[y]) for r in records], slope)
         doc[f"{y}_{'free' if slope is None else 'fixed'}"] = {
             "coefficient": fit.coefficient, "slope": fit.slope}
     _write_json(out / "scaling.json", doc)
@@ -289,9 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the sector matrix as (row, col, value) triplets")
     est = sub.choices["estimate"]
     est.add_argument("--n", type=int, required=True)
-    est.add_argument("--delta0", type=float, default=1.0)
-    est.add_argument("--delta", type=float, default=1.0)
-    est.add_argument("--c", type=float, default=3.16)
+    est.add_argument("--delta0", type=float, default=DELTA0)
+    est.add_argument("--delta", type=float, default=ModelParams.delta)
+    est.add_argument("--c", type=float, default=C)
     est.add_argument("--output-dir", default=".")
     return parser
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import build_hamiltonian, enumerate_sector
 from .eigensolve import diagonalize
-from .eigenstates import entropies, mean_entropy
+from .eigenstates import entropies
 from .errors import (CapacityError, DegenerateWindowError, DiagonalizationError,
                      InsufficientStatisticsError, NotBracketedError)
 from .model import (ModelParams, build_bonds, compact_shape, derive_seed,
@@ -63,8 +63,6 @@ class CriticalResult:
 class FitResult:
     coefficient: float
     slope: float
-    residuals: np.ndarray
-    mode: str
 
 
 @dataclass
@@ -73,7 +71,6 @@ class MeltingMap:
     bin_edges: np.ndarray            # relative energy bins over [0, 1]
     cells: np.ndarray                # (n_j, n_bins) mean S_q, NaN where empty
     counts: np.ndarray
-    seed: int
 
 
 def _one_realization(params: ModelParams, sector, bonds, seed: int):
@@ -89,8 +86,7 @@ def _one_realization(params: ModelParams, sector, bonds, seed: int):
         spacings = normalized_spacings(decomp.eigenvalues)
     except (InsufficientStatisticsError, DegenerateWindowError):
         return None
-    sq, _ = mean_entropy(decomp, slice(None))
-    return spacings, eta(spacings), sq
+    return spacings, eta(spacings), float(entropies(decomp.eigenvectors).mean())
 
 
 def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int) -> EnsembleResult:
@@ -125,7 +121,7 @@ def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int) -> E
     sample = SpacingSample(spacings=pooled, n_s=len(pooled), n_d=len(kept))
     return EnsembleResult(
         sample=sample,
-        eta_pooled=eta(sample),
+        eta_pooled=eta(pooled),
         eta_sem=_sem(etas),
         eta_per_realization=etas,
         sq_mean=float(sqs.mean()),
@@ -192,12 +188,12 @@ def find_critical(sweep: list[SweepPoint], target_kind: str,
                           ambiguous=len(crossings) > 1)
 
 
-def fit_scaling(points, mode: str = "free", slope: float | None = None) -> FitResult:
+def fit_scaling(points, slope: float | None = None) -> FitResult:
     """Power-law fit j = coefficient * x^slope by least squares in log-log.
 
-    mode "free" fits both coefficient and slope; mode "fixed-slope" takes the
-    slope as given (-1 for 1/n scaling, +1 for delta scaling) and fits only
-    the coefficient.
+    With slope None both coefficient and slope are fitted; a given slope (-1
+    for 1/n scaling, +1 for delta scaling) is kept and only the coefficient
+    is fitted.
     """
     xs = np.array([p[0] for p in points], dtype=float)
     js = np.array([p[1] for p in points], dtype=float)
@@ -206,18 +202,11 @@ def fit_scaling(points, mode: str = "free", slope: float | None = None) -> FitRe
     if np.any(xs <= 0) or np.any(js <= 0):
         raise ValueError("scaling fit requires positive inputs")
     lx, lj = np.log(xs), np.log(js)
-    if mode == "free":
-        slope_fit, intercept = np.polyfit(lx, lj, 1)
-    elif mode == "fixed-slope":
-        if slope is None:
-            raise ValueError("fixed-slope mode requires a slope")
-        slope_fit = float(slope)
-        intercept = float(np.mean(lj - slope_fit * lx))
+    if slope is None:
+        slope, intercept = np.polyfit(lx, lj, 1)
     else:
-        raise ValueError(f"unknown fit mode {mode!r}")
-    residuals = lj - (intercept + slope_fit * lx)
-    return FitResult(coefficient=float(np.exp(intercept)), slope=float(slope_fit),
-                     residuals=residuals, mode=mode)
+        intercept = np.mean(lj - slope * lx)
+    return FitResult(coefficient=float(np.exp(intercept)), slope=float(slope))
 
 
 def _energies_and_entropies(sector, realization, bonds) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +249,7 @@ def melting_map(params: ModelParams, j_grid, n_energy_bins: int,
             counts[row, b] = int(mask.sum())
             if counts[row, b]:
                 cells[row, b] = float(sq[mask].mean())
-    return MeltingMap(j_values=j_values, bin_edges=edges, cells=cells,
-                      counts=counts, seed=int(seed))
+    return MeltingMap(j_values=j_values, bin_edges=edges, cells=cells, counts=counts)
 
 
 def default_n_d(n: int, base: int) -> int:

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import GeometryError
 
 DELTA0 = 1.0
+# Generic-regime chaos border J_c = C * delta0 / n, the paper's estimate of C.
+C = 3.16
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,10 @@ class Bond:
 
 @dataclass
 class DisorderRealization:
-    """One sample of {Gamma_i} and {J_ij}, tagged with the seed that produced it."""
+    """One sample of {Gamma_i} and {J_ij}."""
 
     gammas: np.ndarray
     couplings: np.ndarray
-    seed: int
 
 
 def build_bonds(lx: int, ly: int) -> list[Bond]:
@@ -119,7 +120,7 @@ def sample_disorder(params: ModelParams, seed: int,
         gammas = np.full(params.n, DELTA0)
     j = params.j_bound
     couplings = rng.uniform(-j, j, size=len(bonds)) if j > 0 else np.zeros(len(bonds))
-    return DisorderRealization(gammas=gammas, couplings=couplings, seed=int(seed))
+    return DisorderRealization(gammas=gammas, couplings=couplings)
 
 
 def _check_estimate_args(n: int, delta0: float):
@@ -129,30 +130,23 @@ def _check_estimate_args(n: int, delta0: float):
         raise ValueError(f"delta0 must be > 0, got {delta0!r}")
 
 
-def multiqubit_spacing(n: int, delta0: float = DELTA0) -> float:
-    """Mean many-body level spacing estimate n*delta0/2^n.
-
-    Evaluated in the log domain so it degrades gracefully (to subnormals, then
-    0.0) rather than overflowing intermediate 2^n for large n.
-    """
-    _check_estimate_args(n, delta0)
-    return math.exp(math.log(n) + math.log(delta0) - n * math.log(2.0))
-
-
 def multiqubit_spacing_log10(n: int, delta0: float = DELTA0) -> float:
-    """log10 of the spacing estimate; usable for any n (no underflow)."""
+    """log10 of the mean many-body level spacing estimate n*delta0/2^n; usable
+    for any n (no overflow of 2^n, no underflow)."""
     _check_estimate_args(n, delta0)
     return (math.log10(n) + math.log10(delta0)) - n * math.log10(2.0)
 
 
 def theoretical_jc(n: int, delta0: float = DELTA0, delta: float = DELTA0,
-                   c: float = 3.16) -> tuple[float, float]:
+                   c: float = C) -> tuple[float, float]:
     """Closed-form chaos-border estimates (c*delta0/n, 0.4*delta/n).
 
     First element: generic-regime critical coupling; second: the two-state
     mixing border, proportional to the disorder width.
     """
     _check_estimate_args(n, delta0)
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta!r}")
     if c <= 0:
         raise ValueError("c must be > 0")
     return (c * delta0 / n, 0.4 * delta / n)

@@ -46,20 +46,6 @@ def wigner_pdf(s):
     return (np.pi * s / 2.0) * np.exp(-np.pi * s * s / 4.0)
 
 
-def reference_cdf(which: str, s) -> np.ndarray | float:
-    """F_P(s) = 1 - e^-s or F_W(s) = 1 - exp(-pi s^2/4)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("spacing s must be >= 0")
-    if which in ("poisson", "p"):
-        out = 1.0 - np.exp(-s)
-    elif which in ("wigner", "w", "wigner-dyson"):
-        out = 1.0 - np.exp(-np.pi * s * s / 4.0)
-    else:
-        raise ValueError(f"unknown reference distribution {which!r}")
-    return float(out) if out.ndim == 0 else out
-
-
 def select_central_levels(dim: int, fraction: float) -> slice:
     """Central 2*fraction of the dim levels by index (at least 4), as a slice.
 
@@ -88,14 +74,14 @@ def normalized_spacings(window_eigenvalues: np.ndarray) -> np.ndarray:
     return gaps / mean
 
 
-def _spacing_array(sample) -> np.ndarray:
-    sp = sample.spacings if isinstance(sample, SpacingSample) else np.asarray(sample)
+def _spacing_array(spacings) -> np.ndarray:
+    sp = np.asarray(spacings)
     if len(sp) == 0:
         raise ValueError("empty spacing sample")
     return sp
 
 
-def eta(sample) -> float:
+def eta(spacings) -> float:
     """Crossover parameter: 1 for Poisson statistics, 0 for Wigner-Dyson.
 
     Computed from the empirical CDF at s0, which equals the integral-ratio
@@ -103,16 +89,16 @@ def eta(sample) -> float:
     fraction of spacings below s0).  Small excursions outside [0, 1] are
     ordinary statistical fluctuations.
     """
-    sp = _spacing_array(sample)
+    sp = _spacing_array(spacings)
     f_hat = float(np.mean(sp < S0))
     return (f_hat - F_WIGNER_S0) / (F_POISSON_S0 - F_WIGNER_S0)
 
 
-def spacing_histogram(sample, bin_width: float, s_max: float) -> Histogram:
+def spacing_histogram(spacings, bin_width: float, s_max: float) -> Histogram:
     """Density-normalized histogram of spacings over [0, s_max]."""
     if bin_width <= 0:
         raise ValueError("bin_width must be > 0")
-    sp = _spacing_array(sample)
+    sp = _spacing_array(spacings)
     edges = np.arange(0.0, s_max + 0.5 * bin_width, bin_width)
     density, edges = np.histogram(sp, bins=edges, density=True)
     return Histogram(edges=edges, density=density)

@@ -70,8 +70,8 @@ def test_criterion_3_n_scaling(capsys, n12_sweep, small_n_sweeps):
     points = [(n, find_critical(small_n_sweeps[n], "eta", 0.3).j_crit)
               for n in (6, 9)]
     points.append((12, find_critical(n12_sweep, "eta", 0.3).j_crit))
-    free = fit_scaling(points, "free")
-    fixed = fit_scaling(points, "fixed-slope", slope=-1.0)
+    free = fit_scaling(points)
+    fixed = fit_scaling(points, slope=-1.0)
     ok = (abs(free.slope + 1.0) <= 0.2
           and abs(fixed.coefficient - 3.16) <= 0.2 * 3.16)
     report(capsys, 3, ok,
@@ -92,7 +92,7 @@ def test_criterion_4_entropy_border(capsys, n12_sweep):
 def test_criterion_5_delta_scaling(capsys):
     records = scaling_study_delta(ModelParams(lx=3, ly=3), [0.25, 0.5, 1.0], 50,
                                   ACC_SEED, 1.0)
-    fit = fit_scaling([(r["delta"], r["j_cs"]) for r in records], "free")
+    fit = fit_scaling([(r["delta"], r["j_cs"]) for r in records])
     ok = abs(fit.slope - 1.0) <= 0.15
     report(capsys, 5, ok,
            f"n=9 J_cs vs delta slope={fit.slope:.3f} (want 1.0+-0.15)")
@@ -136,7 +136,7 @@ def test_criterion_7_two_qubit_oracle(capsys):
 def _fixed(g1, g2, j12):
     from qubitchaos.model import DisorderRealization
     return DisorderRealization(gammas=np.array([g1, g2]),
-                               couplings=np.array([j12]), seed=0)
+                               couplings=np.array([j12]))
 
 
 def test_criterion_8_invariants(capsys):

@@ -12,10 +12,9 @@ def diagonal_energy(state: int, gammas: np.ndarray) -> float:
     return float(np.dot(gammas, 1 - 2 * bits))
 
 
-def realization(gammas, couplings, seed=0):
+def realization(gammas, couplings):
     return DisorderRealization(gammas=np.asarray(gammas, dtype=float),
-                               couplings=np.asarray(couplings, dtype=float),
-                               seed=seed)
+                               couplings=np.asarray(couplings, dtype=float))
 
 
 class TestEnumerateSector:
@@ -74,16 +73,17 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(sector, realization([g1, g2], [j12]), [Bond(0, 1)])
         expected = np.array([[g1 + g2, j12], [j12, -g1 - g2]])
         assert np.array_equal(h.matrix, expected)
-        assert np.array_equal(h.diag_energies, np.diag(expected))
 
     def test_j_zero_is_diagonal(self):
         params = ModelParams(lx=2, ly=3, delta=1.0, j_bound=0.0)
         bonds = build_bonds(2, 3)
         sector = enumerate_sector(6, 0)
-        h = build_hamiltonian(sector, sample_disorder(params, 7, bonds), bonds)
-        assert np.array_equal(h.matrix, np.diag(h.diag_energies))
+        disorder = sample_disorder(params, 7, bonds)
+        h = build_hamiltonian(sector, disorder, bonds)
+        energies = diagonal_energies(sector.states, disorder.gammas)
+        assert np.array_equal(h.matrix, np.diag(energies))
         evals = np.linalg.eigvalsh(h.matrix)
-        assert np.allclose(evals, np.sort(h.diag_energies))
+        assert np.allclose(evals, np.sort(energies))
 
     def test_three_site_ring_row_support(self):
         # periodic 1D ring used as a unit-test geometry: 3 bonds

@@ -8,12 +8,16 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import qubitchaos
+from qubitchaos import cli
+from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.cli import parse_config, run_command
 from qubitchaos.errors import ConfigError
 from qubitchaos.experiments import (default_n_d, find_critical, grid_for_delta,
                                     grid_for_n, sweep_j)
-from qubitchaos.model import ModelParams
+from qubitchaos.model import ModelParams, build_bonds, derive_seed, sample_disorder
 
 
 BASE = {"lx": 3, "ly": 4, "delta": 1.0, "j_grid": [0.02, 0.48],
@@ -62,6 +66,12 @@ class TestParseConfig:
             parse_config(json.dumps(dict(BASE, j_grid=[0.3, 0.1])))
         with pytest.raises(ConfigError):
             parse_config(json.dumps(dict(BASE, j_grid=[-0.1, 0.3])))
+
+    @pytest.mark.parametrize("key, value", [
+        ("s_max", 0), ("s_max", -1), ("bin_width", 10), ("bin_width", 0)])
+    def test_histogram_without_a_bin_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="bin_width"):
+            parse_config(json.dumps(dict(BASE, **{key: value})))
 
 
 # n = 6 config under which every command succeeds
@@ -169,7 +179,8 @@ class TestEstimateCommand:
         ("--delta0", "nan", "--delta0 must be a finite number"),
         ("--delta", "nan", "--delta must be a finite number"),
         ("--delta", "inf", "--delta must be a finite number"),
-        ("--c", "-inf", "--c must be a finite number")])
+        ("--c", "-inf", "--c must be a finite number"),
+        ("--delta", "-0.5", "delta must be >= 0")])
     def test_bad_flag_fails_before_output(self, tmp_path, capsys, flag, value, rule):
         status = run_command(["estimate", "--n", "12", f"{flag}={value}",
                               "--output-dir", str(tmp_path)])
@@ -192,6 +203,19 @@ class TestSpectrumCommand:
         assert doc["passed"] is True
         assert (tmp_path / "matrix.txt").read_text().count("\n") > 32
 
+    def test_dump_matrix_is_plain_triplets(self, tmp_path):
+        cfg = write_config(tmp_path, lx=2, ly=3, j=0.2, output_dir=str(tmp_path))
+        assert run_command(["spectrum", "--config", str(cfg), "--dump-matrix"]) == 0
+        params = ModelParams(lx=2, ly=3, delta=1.0, j_bound=0.2)
+        bonds = build_bonds(2, 3)
+        h = build_hamiltonian(enumerate_sector(6, 0),
+                              sample_disorder(params, derive_seed(42, 0), bonds), bonds)
+        rebuilt = np.zeros_like(h.matrix)
+        for line in (tmp_path / "matrix.txt").read_text().splitlines():
+            r, c, v = line.split(" ")
+            rebuilt[int(r), int(c)] = float(v)
+        assert np.array_equal(rebuilt, h.matrix)
+
 
 class TestPssCommand:
     def test_normal_run(self, tmp_path):
@@ -210,6 +234,19 @@ class TestPssCommand:
                            output_dir=str(tmp_path))
         assert run_command(["pss", "--config", str(cfg)]) == 1
         assert "skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("s_max", 0), ("s_max", -1), ("bin_width", 10)])
+    def test_empty_histogram_fails_before_solve(self, tmp_path, capsys, monkeypatch,
+                                                key, value):
+        def no_solve(*args):
+            raise AssertionError("run_ensemble called")
+        monkeypatch.setattr(cli, "run_ensemble", no_solve)
+        cfg = write_config(tmp_path, lx=2, ly=3, j=0.3, n_d=2,
+                           output_dir=str(tmp_path), **{key: value})
+        assert run_command(["pss", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "pss.csv").exists()
 
 
 class TestSweepCommand:

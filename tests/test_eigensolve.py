@@ -59,7 +59,7 @@ class TestDiagonalize:
         h = build_hamiltonian(enumerate_sector(9, 0),
                               sample_disorder(params, 13, bonds), bonds)
         d = diagonalize(h)
-        assert np.allclose(d.eigenvalues, np.sort(h.diag_energies), atol=1e-12)
+        assert np.allclose(d.eigenvalues, np.sort(np.diag(h.matrix)), atol=1e-12)
 
     def test_nonfinite_input(self):
         h = np.array([[1.0, np.nan], [np.nan, 1.0]])

@@ -3,9 +3,16 @@ import pytest
 
 from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.eigensolve import diagonalize
-from qubitchaos.eigenstates import (eigenstate_profile, entropies, entropy_sq,
-                                    mean_entropy, weights)
+from qubitchaos.eigenstates import entropies
+from qubitchaos.experiments import run_ensemble
 from qubitchaos.model import ModelParams, build_bonds, sample_disorder
+
+
+def entropy_sq(w):
+    """Scalar oracle: S_q = -sum_i W_i log2 W_i, with 0*log2(0) = 0."""
+    w = np.asarray(w, dtype=float)
+    nz = w[w > 0.0]
+    return float(-np.sum(nz * np.log2(nz)))
 
 
 def sector_decomposition(j_bound, seed=31, lx=2, ly=3):
@@ -17,21 +24,9 @@ def sector_decomposition(j_bound, seed=31, lx=2, ly=3):
 
 
 class TestWeights:
-    def test_basis_vector(self):
-        v = np.zeros(8)
-        v[3] = 1.0
-        w = weights(v)
-        assert w[3] == 1.0 and w.sum() == 1.0
-
-    def test_equal_pair(self):
-        v = np.zeros(4)
-        v[0] = v[1] = 1 / np.sqrt(2)
-        assert weights(v)[:2] == pytest.approx([0.5, 0.5])
-
     def test_normalization(self):
         _, d = sector_decomposition(0.3)
-        for k in range(d.dim):
-            assert weights(d.eigenvectors[:, k]).sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose((d.eigenvectors ** 2).sum(axis=0), 1.0, rtol=0, atol=1e-10)
 
 
 class TestEntropy:
@@ -70,7 +65,7 @@ class TestEntropy:
         v[:3, 2] = 0.0             # exact zeros inside a generic column
         vals = entropies(v)
         assert vals[0] == 0.0 and vals[1] == pytest.approx(1.0)
-        expected = [entropy_sq(weights(v[:, k])) for k in range(v.shape[1])]
+        expected = [entropy_sq(v[:, k] ** 2) for k in range(v.shape[1])]
         assert np.allclose(vals, expected, rtol=0, atol=1e-13)
 
     def test_merge_never_increases_entropy(self):
@@ -88,42 +83,22 @@ class TestEntropy:
 
 class TestEigenstateProfile:
     def test_j_zero_single_pair(self):
-        h, d = sector_decomposition(0.0)
-        prof = eigenstate_profile(d.eigenvectors[:, 0], h.diag_energies)
-        assert prof.shape == (1, 2)
-        assert prof[0, 1] == pytest.approx(1.0)
-
-    def test_floor_zero_keeps_all(self):
-        h, d = sector_decomposition(0.3)
-        prof = eigenstate_profile(d.eigenvectors[:, 0], h.diag_energies, floor=0.0)
-        assert prof.shape == (h.dim, 2)
-        assert np.all(np.diff(prof[:, 0]) >= 0)
+        # at J = 0 every eigenstate is one noninteracting register state
+        _, d = sector_decomposition(0.0)
+        w = d.eigenvectors[:, 0] ** 2
+        assert np.count_nonzero(w > 1e-12) == 1
+        assert w.max() == pytest.approx(1.0)
 
     def test_strong_coupling_spread(self):
-        h, d = sector_decomposition(0.48, lx=3, ly=3)
-        mid = d.dim // 2
-        prof = eigenstate_profile(d.eigenvectors[:, mid], h.diag_energies, floor=1e-6)
-        assert len(prof) > 10
-        assert prof[:, 1].max() < 0.9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eigenstate_profile(np.ones(4), np.ones(5))
+        _, d = sector_decomposition(0.48, lx=3, ly=3)
+        w = d.eigenvectors[:, d.dim // 2] ** 2
+        assert np.count_nonzero(w > 1e-6) > 10
+        assert w.max() < 0.9
 
 
 class TestMeanEntropy:
     def test_j_zero_exact(self):
-        _, d = sector_decomposition(0.0)
-        mean, _ = mean_entropy(d, slice(0, d.dim))
-        assert mean == 0.0
-
-    def test_single_state_window(self):
-        _, d = sector_decomposition(0.3)
-        mean, sem = mean_entropy(d, slice(4, 5))
-        assert sem == 0.0
-        assert mean == pytest.approx(entropy_sq(weights(d.eigenvectors[:, 4])))
-
-    def test_empty_window(self):
-        _, d = sector_decomposition(0.3)
-        with pytest.raises(ValueError):
-            mean_entropy(d, slice(4, 4))
+        # the pipeline's per-realization window mean is exactly 0 at J = 0
+        r = run_ensemble(ModelParams(lx=2, ly=3, delta=1.0), 0.0, 4, 31)
+        assert r.sq_mean == 0.0
+        assert np.all(r.sq_per_realization == 0.0)

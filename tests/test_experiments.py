@@ -137,19 +137,14 @@ class TestFindCritical:
 class TestFitScaling:
     def test_exact_inverse_n(self):
         points = [(n, 3.16 / n) for n in (6, 9, 12)]
-        fit = fit_scaling(points, mode="free")
+        fit = fit_scaling(points)
         assert fit.coefficient == pytest.approx(3.16)
         assert fit.slope == pytest.approx(-1.0)
-        assert np.allclose(fit.residuals, 0.0, atol=1e-12)
 
     def test_fixed_slope(self):
         points = [(0.25, 0.011), (0.5, 0.022), (1.0, 0.044)]
-        fit = fit_scaling(points, mode="fixed-slope", slope=1.0)
+        fit = fit_scaling(points, slope=1.0)
         assert fit.coefficient == pytest.approx(0.044, rel=0.01)
-
-    def test_fixed_slope_requires_slope(self):
-        with pytest.raises(ValueError):
-            fit_scaling([(1, 1), (2, 2)], mode="fixed-slope")
 
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):

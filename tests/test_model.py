@@ -5,8 +5,7 @@ import pytest
 
 from qubitchaos.errors import GeometryError
 from qubitchaos.model import (Bond, ModelParams, build_bonds, compact_shape,
-                              derive_seed, multiqubit_spacing,
-                              multiqubit_spacing_log10, sample_disorder,
+                              derive_seed, multiqubit_spacing_log10, sample_disorder,
                               theoretical_jc)
 
 
@@ -76,7 +75,6 @@ class TestSampleDisorder:
         b = sample_disorder(self.params(), seed=99)
         assert np.array_equal(a.gammas, b.gammas)
         assert np.array_equal(a.couplings, b.couplings)
-        assert a.seed == b.seed == 99
 
     def test_bounds(self):
         p = self.params()
@@ -118,8 +116,8 @@ class TestModelParams:
 
 class TestSpacingEstimate:
     def test_small_n(self):
-        assert multiqubit_spacing(1) == pytest.approx(0.5)
-        assert multiqubit_spacing(12) == pytest.approx(12 / 4096)
+        assert multiqubit_spacing_log10(1) == pytest.approx(math.log10(0.5))
+        assert multiqubit_spacing_log10(12) == pytest.approx(math.log10(12 / 4096))
 
     def test_n_1000_log10(self):
         expected = 3.0 - 1000 * math.log10(2.0)  # ~= -298.03
@@ -131,7 +129,7 @@ class TestSpacingEstimate:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            multiqubit_spacing(0)
+            multiqubit_spacing_log10(0)
 
 
 class TestTheoreticalJc:

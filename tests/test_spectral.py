@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qubitchaos.errors import DegenerateWindowError, InsufficientStatisticsError
-from qubitchaos.spectral import (S0, F_POISSON_S0, F_WIGNER_S0, SpacingSample, eta,
-                                 normalized_spacings, poisson_pdf, reference_cdf,
+from qubitchaos.spectral import (S0, F_POISSON_S0, F_WIGNER_S0, eta,
+                                 normalized_spacings, poisson_pdf,
                                  select_central_levels, spacing_histogram,
                                  wigner_pdf)
 
@@ -58,27 +58,15 @@ class TestNormalizedSpacings:
 
 
 class TestReferenceStatistics:
-    def test_zero(self):
-        assert reference_cdf("poisson", 0.0) == 0.0
-        assert reference_cdf("wigner", 0.0) == 0.0
-
     def test_values_at_s0(self):
-        assert reference_cdf("poisson", S0) == pytest.approx(0.37678, abs=1e-4)
-        assert reference_cdf("wigner", S0) == pytest.approx(0.16108, abs=1e-4)
+        assert F_POISSON_S0 == pytest.approx(0.37678, abs=1e-4)
+        assert F_WIGNER_S0 == pytest.approx(0.16108, abs=1e-4)
 
     def test_pdf_crossing_at_s0(self):
         # s0 is defined as the intersection point of the two densities
         assert poisson_pdf(S0) == pytest.approx(0.6232, abs=1e-3)
         assert wigner_pdf(S0) == pytest.approx(0.6232, abs=1e-3)
         assert abs(poisson_pdf(S0) - wigner_pdf(S0)) < 1e-3
-
-    def test_negative_s(self):
-        with pytest.raises(ValueError):
-            reference_cdf("poisson", -0.1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            reference_cdf("gue", 1.0)
 
 
 class TestEta:
@@ -122,11 +110,6 @@ class TestEta:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             eta(np.array([]))
-
-    def test_accepts_sample_type(self):
-        sp = np.array([0.1, 0.2, 1.0, 2.0])
-        sample = SpacingSample(spacings=sp, n_s=4, n_d=1)
-        assert eta(sample) == eta(sp)
 
 
 class TestSpacingHistogram:
