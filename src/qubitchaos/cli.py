@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,10 @@ from . import __version__
 from .basis import build_hamiltonian, enumerate_sector
 from .eigensolve import diagonalize, validate
 from .errors import ConfigError
-from .experiments import (DEFAULT_J_GRID, find_critical, fit_scaling, melting_map,
-                          run_ensemble, scaling_study_delta, scaling_study_n,
+from .experiments import (DEFAULT_J_GRID, find_critical, fit_scaling, grid_for_delta,
+                          grid_for_n, melting_map, run_ensemble, scaling_study,
                           sweep_j)
-from .model import (C, DELTA0, ModelParams, build_bonds, derive_seed,
+from .model import (C, DELTA0, ModelParams, build_bonds, compact_shape, derive_seed,
                     multiqubit_spacing_log10, sample_disorder, theoretical_jc)
 from .spectral import poisson_pdf, spacing_histogram, wigner_pdf
 
@@ -117,6 +117,18 @@ def parse_config(text: str) -> RunConfig:
     if not 0 < cfg.bin_width <= cfg.s_max:
         raise ConfigError(f"need 0 < bin_width <= s_max (one histogram bin at least), "
                           f"got bin_width {cfg.bin_width!r} and s_max {cfg.s_max!r}")
+    # The scaling lists are checked for every command, so a bad list fails before
+    # any sweep and not after the first ones.
+    for key in ("n_values", "delta_values"):
+        if len(set(values := getattr(cfg, key))) < 2:
+            raise ConfigError(f"{key} needs >= 2 distinct entries for a fit, "
+                              f"got {values!r}")
+    if any(n < 3 for n in cfg.n_values):
+        raise ConfigError(f"n_values entries must be >= 3 qubits (a sector needs >= 4 "
+                          f"levels), got {cfg.n_values!r}")
+    if any(not 0 < d <= DELTA0 for d in cfg.delta_values):
+        raise ConfigError(f"delta_values entries must be in (0, delta0={DELTA0}], "
+                          f"got {cfg.delta_values!r}")
     return cfg
 
 
@@ -196,9 +208,9 @@ def _sweep_to_csv(cfg: RunConfig, path: Path):
     """Run the config's J sweep and write it as CSV; returns (points, skipped)."""
     points = sweep_j(cfg.model_params(), cfg.j_grid, cfg.n_d, cfg.master_seed)
     _write_csv(path, ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem", "n_s", "n_d"],
-               [[p.j, p.eta_mean, p.eta_sem, p.sq_mean, p.sq_sem, p.n_s, p.n_d]
-                for p in points])
-    return points, sum(cfg.n_d - p.n_d for p in points)
+               [[p.j, p.eta_pooled, p.eta_sem, p.sq_mean, p.sq_sem, p.sample.n_s,
+                 p.sample.n_d] for p in points])
+    return points, sum(p.n_skipped for p in points)
 
 
 def _sweep(cfg: RunConfig, args, out: Path) -> int:
@@ -223,22 +235,29 @@ def _critical(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _scaling(cfg: RunConfig, args, out: Path) -> int:
-    # (border, slope) pairs to fit against the first column; slope None fits it too.
+    # One (params, J grid) run per x value; (border, slope) pairs to fit against
+    # the first column, where slope None fits it too.
+    params = cfg.model_params()
     if cfg.scaling_mode == "n":
-        records = scaling_study_n(cfg.model_params(), cfg.n_values, cfg.n_d,
-                                  cfg.master_seed, cfg.eta_target, cfg.sq_target)
+        xs, runs = cfg.n_values, []
+        for n in xs:
+            lx, ly = compact_shape(n)
+            runs.append((replace(params, lx=lx, ly=ly), grid_for_n(n, cfg.delta)))
+        targets = [("eta", cfg.eta_target), ("sq", cfg.sq_target)]
         columns, fits = ["n", "j_c", "j_cs"], [("j_c", None), ("j_c", -1.0), ("j_cs", -1.0)]
     elif cfg.scaling_mode == "delta":
-        records = scaling_study_delta(cfg.model_params(), cfg.delta_values, cfg.n_d,
-                                      cfg.master_seed, cfg.sq_target)
+        xs = cfg.delta_values
+        runs = [(replace(params, delta=d), grid_for_delta(params.n, d)) for d in xs]
+        targets = [("sq", cfg.sq_target)]
         columns, fits = ["delta", "j_cs"], [("j_cs", None), ("j_cs", 1.0)]
     else:
         raise ConfigError(f"scaling_mode must be 'n' or 'delta', got {cfg.scaling_mode!r}")
-    x = columns[0]
-    _write_csv(out / "scaling.csv", columns, [[r[c] for c in columns] for r in records])
+    rows = [[x, *crossings] for x, crossings
+            in zip(xs, scaling_study(runs, cfg.n_d, cfg.master_seed, targets))]
+    _write_csv(out / "scaling.csv", columns, rows)
     doc = {"mode": cfg.scaling_mode}
     for y, slope in fits:
-        fit = fit_scaling([(r[x], r[y]) for r in records], slope)
+        fit = fit_scaling([(r[0], r[columns.index(y)]) for r in rows], slope)
         doc[f"{y}_{'free' if slope is None else 'fixed'}"] = {
             "coefficient": fit.coefficient, "slope": fit.slope}
     _write_json(out / "scaling.json", doc)

@@ -17,8 +17,8 @@ from .eigensolve import diagonalize
 from .eigenstates import entropies
 from .errors import (CapacityError, DegenerateWindowError, DiagonalizationError,
                      InsufficientStatisticsError, NotBracketedError)
-from .model import (ModelParams, build_bonds, compact_shape, derive_seed,
-                    sample_disorder, theoretical_jc)
+from .model import (ModelParams, build_bonds, derive_seed, sample_disorder,
+                    theoretical_jc)
 from .spectral import SpacingSample, eta, normalized_spacings, select_central_levels
 
 # Log-spaced through the chaos transition at n = 12; brackets both eta = 0.3
@@ -28,8 +28,10 @@ DEFAULT_J_GRID = (0.02, 0.03, 0.05, 0.08, 0.12, 0.18, 0.27, 0.40, 0.48)
 
 @dataclass
 class EnsembleResult:
-    """Pooled spacing sample plus per-realization eta and window-entropy stats."""
+    """Pooled spacing sample plus per-realization eta and window-entropy stats
+    at coupling bound j; a J sweep is a list of these."""
 
+    j: float
     sample: SpacingSample
     eta_pooled: float
     eta_sem: float
@@ -38,17 +40,6 @@ class EnsembleResult:
     sq_sem: float
     sq_per_realization: np.ndarray
     n_skipped: int
-
-
-@dataclass
-class SweepPoint:
-    j: float
-    eta_mean: float
-    eta_sem: float
-    sq_mean: float
-    sq_sem: float
-    n_s: int
-    n_d: int
 
 
 @dataclass
@@ -120,6 +111,7 @@ def run_ensemble(params: ModelParams, j: float, n_d: int, master_seed: int) -> E
     sqs = np.array([r[2] for r in kept])
     sample = SpacingSample(spacings=pooled, n_s=len(pooled), n_d=len(kept))
     return EnsembleResult(
+        j=float(j),
         sample=sample,
         eta_pooled=eta(pooled),
         eta_sem=_sem(etas),
@@ -137,23 +129,18 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def sweep_j(params: ModelParams, j_grid, n_d: int, master_seed: int) -> list[SweepPoint]:
-    """One ensemble per grid value; pooled eta with per-realization SEMs."""
+def sweep_j(params: ModelParams, j_grid, n_d: int,
+            master_seed: int) -> list[EnsembleResult]:
+    """One ensemble per grid value, in ascending J."""
     j_grid = list(j_grid)
     if len(j_grid) < 2:
         raise ValueError("j_grid needs >= 2 points")
     if any(b < a for a, b in zip(j_grid, j_grid[1:])):
         raise ValueError("j_grid must be ascending")
-    points = []
-    for j in j_grid:
-        r = run_ensemble(params, j, n_d, master_seed)
-        points.append(SweepPoint(j=float(j), eta_mean=r.eta_pooled, eta_sem=r.eta_sem,
-                                 sq_mean=r.sq_mean, sq_sem=r.sq_sem,
-                                 n_s=r.sample.n_s, n_d=r.sample.n_d))
-    return points
+    return [run_ensemble(params, j, n_d, master_seed) for j in j_grid]
 
 
-def find_critical(sweep: list[SweepPoint], target_kind: str,
+def find_critical(sweep: list[EnsembleResult], target_kind: str,
                   target_value: float) -> CriticalResult:
     """Critical coupling where the observable crosses its target.
 
@@ -164,7 +151,7 @@ def find_critical(sweep: list[SweepPoint], target_kind: str,
     """
     t = target_value
     if target_kind == "eta":
-        ys = [p.eta_mean for p in sweep]
+        ys = [p.eta_pooled for p in sweep]
     elif target_kind == "sq":
         ys = [p.sq_mean for p in sweep]
     else:
@@ -269,34 +256,14 @@ def grid_for_delta(n: int, delta: float) -> np.ndarray:
     return np.geomspace(0.3 * jcs, 4.0 * jcs, 9)
 
 
-def scaling_study_n(params: ModelParams, n_values, n_d_base: int, master_seed: int,
-                    eta_target: float, sq_target: float):
-    """Measure J_c and J_cs across qubit counts; returns per-n records.
+def scaling_study(runs, n_d_base: int, master_seed: int, targets) -> list[list[float]]:
+    """Critical couplings of each run: one row per (params, J grid) run, one
+    crossing per (kind, value) target, in the order given.
 
-    Each n runs on the most compact lattice with n sites; every other model
-    parameter is taken from `params`.
+    Each run sweeps its grid with `default_n_d(n, n_d_base)` realizations.
     """
-    records = []
-    for n in n_values:
-        lx, ly = compact_shape(n)
-        sweep = sweep_j(replace(params, lx=lx, ly=ly), grid_for_n(n, params.delta),
-                        default_n_d(n, n_d_base), master_seed)
-        jc = find_critical(sweep, "eta", eta_target)
-        jcs = find_critical(sweep, "sq", sq_target)
-        records.append({"n": n, "j_c": jc.j_crit, "j_cs": jcs.j_crit,
-                        "sweep": sweep})
-    return records
-
-
-def scaling_study_delta(params: ModelParams, delta_values, n_d_base: int,
-                        master_seed: int, sq_target: float):
-    """Measure J_cs across disorder widths on the lattice of `params`; returns
-    per-delta records.  Every other model parameter is taken from `params`.
-    """
-    records = []
-    for delta in delta_values:
-        sweep = sweep_j(replace(params, delta=delta), grid_for_delta(params.n, delta),
-                        default_n_d(params.n, n_d_base), master_seed)
-        jcs = find_critical(sweep, "sq", sq_target)
-        records.append({"delta": delta, "j_cs": jcs.j_crit, "sweep": sweep})
-    return records
+    rows = []
+    for params, j_grid in runs:
+        sweep = sweep_j(params, j_grid, default_n_d(params.n, n_d_base), master_seed)
+        rows.append([find_critical(sweep, kind, value).j_crit for kind, value in targets])
+    return rows

@@ -109,17 +109,15 @@ def sample_disorder(params: ModelParams, seed: int,
     """Draw one disorder realization from its own generator seeded with `seed`.
 
     Gamma_i ~ U[delta0 - delta/2, delta0 + delta/2], J_ij ~ U[-J, J]; equal
-    seeds give bit-identical realizations.
+    seeds give bit-identical realizations.  A zero delta or J draws exactly
+    delta0 or +0.0.
     """
     if bonds is None:
         bonds = build_bonds(params.lx, params.ly)
     rng = np.random.default_rng(seed)
     half = 0.5 * params.delta
     gammas = rng.uniform(DELTA0 - half, DELTA0 + half, size=params.n)
-    if params.delta == 0.0:
-        gammas = np.full(params.n, DELTA0)
-    j = params.j_bound
-    couplings = rng.uniform(-j, j, size=len(bonds)) if j > 0 else np.zeros(len(bonds))
+    couplings = rng.uniform(-params.j_bound, params.j_bound, size=len(bonds))
     return DisorderRealization(gammas=gammas, couplings=couplings)
 
 
@@ -145,8 +143,8 @@ def theoretical_jc(n: int, delta0: float = DELTA0, delta: float = DELTA0,
     mixing border, proportional to the disorder width.
     """
     _check_estimate_args(n, delta0)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta!r}")
+    if not 0 <= delta <= delta0:
+        raise ValueError(f"delta must be >= 0 and <= delta0 = {delta0!r}, got {delta!r}")
     if c <= 0:
         raise ValueError("c must be > 0")
     return (c * delta0 / n, 0.4 * delta / n)

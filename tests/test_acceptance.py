@@ -18,8 +18,8 @@ from qubitchaos.cli import run_command
 from qubitchaos.eigensolve import diagonalize, validate
 from qubitchaos.eigenstates import entropies
 from qubitchaos.experiments import (DEFAULT_J_GRID, default_n_d, find_critical,
-                                    fit_scaling, grid_for_n, melting_map,
-                                    run_ensemble, scaling_study_delta, sweep_j)
+                                    fit_scaling, grid_for_delta, grid_for_n,
+                                    melting_map, run_ensemble, scaling_study, sweep_j)
 from qubitchaos.model import ModelParams, build_bonds, sample_disorder
 from qubitchaos.spectral import eta, normalized_spacings, select_central_levels
 
@@ -90,9 +90,10 @@ def test_criterion_4_entropy_border(capsys, n12_sweep):
 
 
 def test_criterion_5_delta_scaling(capsys):
-    records = scaling_study_delta(ModelParams(lx=3, ly=3), [0.25, 0.5, 1.0], 50,
-                                  ACC_SEED, 1.0)
-    fit = fit_scaling([(r["delta"], r["j_cs"]) for r in records])
+    deltas = [0.25, 0.5, 1.0]
+    runs = [(ModelParams(lx=3, ly=3, delta=d), grid_for_delta(9, d)) for d in deltas]
+    rows = scaling_study(runs, 50, ACC_SEED, [("sq", 1.0)])
+    fit = fit_scaling([(d, j_cs) for d, (j_cs,) in zip(deltas, rows)])
     ok = abs(fit.slope - 1.0) <= 0.15
     report(capsys, 5, ok,
            f"n=9 J_cs vs delta slope={fit.slope:.3f} (want 1.0+-0.15)")

@@ -11,7 +11,7 @@ import pytest
 import numpy as np
 
 import qubitchaos
-from qubitchaos import cli
+from qubitchaos import cli, experiments
 from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.cli import parse_config, run_command
 from qubitchaos.errors import ConfigError
@@ -22,6 +22,11 @@ from qubitchaos.model import ModelParams, build_bonds, derive_seed, sample_disor
 
 BASE = {"lx": 3, "ly": 4, "delta": 1.0, "j_grid": [0.02, 0.48],
         "n_d": 100, "master_seed": 42}
+
+
+def read_csv(path, reader=csv.reader):
+    with open(path, newline="") as fh:
+        return list(reader(fh))
 
 
 def write_config(tmp_path, **overrides):
@@ -180,7 +185,8 @@ class TestEstimateCommand:
         ("--delta", "nan", "--delta must be a finite number"),
         ("--delta", "inf", "--delta must be a finite number"),
         ("--c", "-inf", "--c must be a finite number"),
-        ("--delta", "-0.5", "delta must be >= 0")])
+        ("--delta", "-0.5", "delta must be >= 0"),
+        ("--delta", "5", "<= delta0 = 1.0")])
     def test_bad_flag_fails_before_output(self, tmp_path, capsys, flag, value, rule):
         status = run_command(["estimate", "--n", "12", f"{flag}={value}",
                               "--output-dir", str(tmp_path)])
@@ -196,7 +202,7 @@ class TestSpectrumCommand:
         cfg = write_config(tmp_path, lx=2, ly=3, j=0.2,
                            output_dir=str(tmp_path), n_d=1)
         assert run_command(["spectrum", "--config", str(cfg), "--dump-matrix"]) == 0
-        rows = list(csv.reader((tmp_path / "spectrum.csv").open()))
+        rows = read_csv(tmp_path / "spectrum.csv")
         assert rows[0] == ["index", "eigenvalue"]
         assert len(rows) == 1 + 32
         doc = json.loads((tmp_path / "spectrum.json").read_text())
@@ -222,7 +228,7 @@ class TestPssCommand:
         cfg = write_config(tmp_path, lx=2, ly=3, j=0.3, n_d=20,
                            output_dir=str(tmp_path))
         assert run_command(["pss", "--config", str(cfg)]) == 0
-        rows = list(csv.reader((tmp_path / "pss.csv").open()))
+        rows = read_csv(tmp_path / "pss.csv")
         assert rows[0] == ["s_bin_left", "s_bin_right", "density",
                            "pp_density", "pw_density"]
         doc = json.loads((tmp_path / "pss.json").read_text())
@@ -254,7 +260,7 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, lx=2, ly=3, j_grid=[0.05, 0.3], n_d=4,
                            output_dir=str(tmp_path))
         assert run_command(["sweep", "--config", str(cfg)]) == 0
-        rows = list(csv.reader((tmp_path / "sweep.csv").open()))
+        rows = read_csv(tmp_path / "sweep.csv")
         assert rows[0] == ["j", "eta_mean", "eta_sem", "sq_mean", "sq_sem",
                            "n_s", "n_d"]
         assert len(rows) == 3
@@ -298,9 +304,17 @@ class TestMeltCommand:
         cfg = write_config(tmp_path, lx=2, ly=3, j_grid=[0.0, 0.2, 0.4],
                            n_energy_bins=5, output_dir=str(tmp_path))
         assert run_command(["melt", "--config", str(cfg)]) == 0
-        rows = list(csv.reader((tmp_path / "melt.csv").open()))
+        rows = read_csv(tmp_path / "melt.csv")
         assert rows[0] == ["j", "bin_left", "bin_right", "sq_mean", "count"]
         assert len(rows) == 1 + 3 * 5
+
+
+# (key, value) pairs that make a scaling fit impossible; the values before the bad
+# entry are valid, so a late check would run their sweeps first.
+BAD_SCALING_LISTS = [("n_values", [6]), ("n_values", [6, 6]), ("n_values", [6, 1]),
+                     ("n_values", [6, 2]), ("delta_values", [0.5]),
+                     ("delta_values", [0.5, 0.5]), ("delta_values", [0.5, 0.0]),
+                     ("delta_values", [0.5, 1.5])]
 
 
 class TestScalingCommand:
@@ -318,7 +332,7 @@ class TestScalingCommand:
                            delta_values=[0.5, 1.0], n_d=1, sq_target=0.8,
                            window_fraction=0.25, parity="odd", output_dir=str(tmp_path))
         assert run_command(["scaling", "--config", str(cfg)]) == 0
-        rows = list(csv.DictReader((tmp_path / "scaling.csv").open()))
+        rows = read_csv(tmp_path / "scaling.csv", csv.DictReader)
         assert [float(r["delta"]) for r in rows] == [0.5, 1.0]
         for row in rows:
             delta = float(row["delta"])
@@ -327,11 +341,27 @@ class TestScalingCommand:
             sweep = sweep_j(params, grid_for_delta(6, delta), default_n_d(6, 1), 42)
             assert float(row["j_cs"]) == find_critical(sweep, "sq", 0.8).j_crit
 
+    # `sweep` never reads the lists, but the config check is the same for every command.
+    @pytest.mark.parametrize("command", ["scaling", "sweep"])
+    @pytest.mark.parametrize("key, value", BAD_SCALING_LISTS)
+    def test_bad_list_fails_before_any_sweep(self, tmp_path, capsys, monkeypatch,
+                                             command, key, value):
+        def no_solve(*args):
+            raise AssertionError("run_ensemble called")
+        monkeypatch.setattr(experiments, "run_ensemble", no_solve)
+        mode = "n" if key == "n_values" else "delta"
+        cfg = write_config(tmp_path, lx=2, ly=3, n_d=1, j_grid=[0.05, 0.3],
+                           scaling_mode=mode, output_dir=str(tmp_path), **{key: value})
+        assert run_command([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_n_mode_reads_targets(self, tmp_path):
         cfg = write_config(tmp_path, scaling_mode="n", n_values=[6, 9], n_d=1,
                            eta_target=0.4, sq_target=0.8, output_dir=str(tmp_path))
         assert run_command(["scaling", "--config", str(cfg)]) == 0
-        rows = list(csv.DictReader((tmp_path / "scaling.csv").open()))
+        rows = read_csv(tmp_path / "scaling.csv", csv.DictReader)
         assert [int(r["n"]) for r in rows] == [6, 9]
         for row, (lx, ly) in zip(rows, [(2, 3), (3, 3)]):
             n = lx * ly

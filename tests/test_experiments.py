@@ -8,11 +8,11 @@ from qubitchaos.basis import build_hamiltonian, enumerate_sector
 from qubitchaos.eigensolve import diagonalize
 from qubitchaos.eigenstates import entropies
 from qubitchaos.errors import InsufficientStatisticsError, NotBracketedError
-from qubitchaos.experiments import (DEFAULT_J_GRID, SweepPoint, find_critical,
+from qubitchaos.experiments import (DEFAULT_J_GRID, EnsembleResult, find_critical,
                                     fit_scaling, grid_for_delta, grid_for_n,
                                     default_n_d, melting_map, run_ensemble, sweep_j)
 from qubitchaos.model import ModelParams, build_bonds, derive_seed, sample_disorder
-from qubitchaos.spectral import eta, normalized_spacings
+from qubitchaos.spectral import SpacingSample, eta, normalized_spacings
 
 
 P6 = ModelParams(lx=2, ly=3, delta=1.0)
@@ -21,8 +21,12 @@ P6 = ModelParams(lx=2, ly=3, delta=1.0)
 def synthetic_sweep(js, etas=None, sqs=None):
     etas = etas if etas is not None else [1.0] * len(js)
     sqs = sqs if sqs is not None else [0.0] * len(js)
-    return [SweepPoint(j=j, eta_mean=e, eta_sem=0.0, sq_mean=s, sq_sem=0.0,
-                       n_s=100, n_d=10) for j, e, s in zip(js, etas, sqs)]
+    sample = SpacingSample(spacings=np.ones(100), n_s=100, n_d=10)
+    none = np.zeros(0)
+    return [EnsembleResult(j=j, sample=sample, eta_pooled=e, eta_sem=0.0,
+                           eta_per_realization=none, sq_mean=s, sq_sem=0.0,
+                           sq_per_realization=none, n_skipped=0)
+            for j, e, s in zip(js, etas, sqs)]
 
 
 class TestRunEnsemble:
@@ -83,7 +87,8 @@ class TestSweep:
         points = sweep_j(P6, [0.05, 0.3], 5, master_seed=9)
         assert [p.j for p in points] == [0.05, 0.3]
         for p in points:
-            assert p.n_s > 0 and p.n_d > 0 and p.eta_sem >= 0 and p.sq_sem >= 0
+            assert p.sample.n_s > 0 and p.sample.n_d > 0
+            assert p.eta_sem >= 0 and p.sq_sem >= 0
         # entropy grows with coupling
         assert points[1].sq_mean > points[0].sq_mean
 

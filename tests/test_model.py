@@ -68,7 +68,7 @@ class TestSampleDisorder:
 
     def test_zero_j_gives_exact_zero_couplings(self):
         r = sample_disorder(self.params(j_bound=0.0), seed=5)
-        assert np.all(r.couplings == 0.0)
+        assert np.all(r.couplings == 0.0) and not np.any(np.signbit(r.couplings))
 
     def test_reproducible(self):
         a = sample_disorder(self.params(), seed=99)
